@@ -2,7 +2,7 @@ GO ?= go
 BENCHTIME ?= 0.2s
 FUZZTIME ?= 30s
 
-.PHONY: verify fmt vet staticcheck build test race bench bench-gate bench-smoke bench-workers chaos chaos-servd verify-invariants fuzz-smoke trace-smoke servd-smoke soak-smoke campaign-smoke
+.PHONY: verify fmt vet staticcheck build test race bench bench-gate bench-smoke bench-workers chaos chaos-servd verify-invariants fuzz-smoke trace-smoke servd-smoke soak-smoke campaign-smoke perfbench-selftest
 
 # verify is the tier-1 gate: formatting, vet, staticcheck (when installed),
 # build, the full test suite, and a race pass over the concurrently-exercised
@@ -161,6 +161,12 @@ bench-gate:
 # surfaces first during a trajectory recording).
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
+
+# perfbench-selftest runs the repository benchmark's own tests. perfbench is
+# a separate module (it replaces gnsslna with the checkout), so the root
+# `go test ./...` never reaches it.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 # bench-workers runs only the Workers benchmark variants (serial pipelines
 # with the evaluation fan-out at NumCPU width) for a quick parallel-path

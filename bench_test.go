@@ -243,6 +243,54 @@ func BenchmarkColdFETExtraction(b *testing.B) {
 	}
 }
 
+// boxMid returns the midpoint of a search box.
+func boxMid(lo, hi []float64) []float64 {
+	p := make([]float64, len(lo))
+	for i := range p {
+		p[i] = (lo[i] + hi[i]) / 2
+	}
+	return p
+}
+
+// BenchmarkExtractSResidualRMSE times one S-residual evaluation, the
+// objective of the extraction's RF DE stage, over the default campaign's
+// hot sweeps at the RF search box midpoint.
+func BenchmarkExtractSResidualRMSE(b *testing.B) {
+	ds, err := vna.RunCampaign(device.Golden(), vna.DefaultCampaign(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := device.Golden()
+	sres, err := extract.NewSResidual(ds, g.DC, g.Ext, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := boxMid(sres.Bounds())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sres.RMSE(p)
+	}
+}
+
+// BenchmarkExtractDCObjective times one evaluation of the DC fit's DE
+// objective (Angelov model over the default campaign's I-V grid) at the
+// model's search box midpoint.
+func BenchmarkExtractDCObjective(b *testing.B) {
+	ds, err := vna.RunCampaign(device.Golden(), vna.DefaultCampaign(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := device.NewAngelov()
+	obj := extract.DCObjective(m, ds)
+	p := boxMid(m.Bounds())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		obj(p)
+	}
+}
+
 func BenchmarkComplexLUSolve16(b *testing.B) {
 	n := 16
 	a := mathx.NewCMatrix(n, n)

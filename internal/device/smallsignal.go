@@ -132,36 +132,97 @@ func Embed(yInt, cyInt twoport.Mat2, ex Extrinsics, f, ta float64) (noise.TwoPor
 
 // SFromSmallSignal returns the embedded S-parameters of an intrinsic
 // small-signal model inside the given extrinsics, without noise bookkeeping.
-// Extraction inner loops use this fast path: the small-signal model per bias
-// is computed once and swept over frequency, and the embedding works
-// directly on 2x2 immittance matrices — the same Y -> Z -> add parasitics ->
-// Y -> add pads -> S sequence as Embed, minus the noise-correlation
-// congruence transforms that are pure overhead on a zero correlation matrix.
+// It is the extraction residual's kernel: the same Y -> Z -> add parasitics
+// -> Y -> add pads -> S sequence as Embed, minus the noise-correlation
+// congruence transforms that are pure overhead on a zero correlation
+// matrix, written out in closed form on the 2x2 entries. Each of the three
+// inversions (Y -> Z, Z -> Y, and the (I+Yn)^-1 of Y -> S) takes one
+// reciprocal of its determinant and keeps the singular predicate of
+// twoport.Mat2.Inv, |det| <= 1e-12*r1*r2 over the row 1-norms, and fails
+// with an error matching twoport.ErrSingularNetwork.
 func SFromSmallSignal(ss SmallSignal, ex Extrinsics, f, z0 float64) (twoport.Mat2, error) {
 	w := 2 * math.Pi * f
-	z, err := IntrinsicY(ss, f).Inv()
-	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed to Z: %w", err)
+	// Intrinsic Y: the gate charging branch divides by 1 + jw*Cgs*Ri.
+	rc := w * ss.Cgs * ss.Ri
+	k := 1 / (1 + rc*rc)
+	invd := complex(k, -rc*k)
+	sin, cos := math.Sincos(w * ss.Tau)
+	ygs := complex(0, w*ss.Cgs) * invd
+	ygd := complex(0, w*ss.Cgd)
+	ym := complex(ss.Gm*cos, -ss.Gm*sin) * invd
+	y11, y12 := ygs+ygd, -ygd
+	y21, y22 := ym-ygd, complex(ss.Gds, w*ss.Cds)+ygd
+
+	z11, z12, z21, z22, ok := inv2(y11, y12, y21, y22)
+	if !ok {
+		return twoport.Mat2{}, fmt.Errorf("device: embed to Z: %w", twoport.ErrSingularNetwork)
 	}
-	zg := complex(ex.Rg, w*ex.Lg)
-	zs := complex(ex.Rs, w*ex.Ls)
-	zd := complex(ex.Rd, w*ex.Ld)
 	// Common-lead impedance adds to every entry of Z (series feedback).
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			z[i][j] += zs
-		}
-	}
-	z[0][0] += zg
-	z[1][1] += zd
-	y, err := z.Inv()
-	if err != nil {
-		return twoport.Mat2{}, fmt.Errorf("device: embed pads: %w", err)
+	zs := complex(ex.Rs, w*ex.Ls)
+	z11 += zs
+	z12 += zs
+	z21 += zs
+	z22 += zs
+	z11 += complex(ex.Rg, w*ex.Lg)
+	z22 += complex(ex.Rd, w*ex.Ld)
+	y11, y12, y21, y22, ok = inv2(z11, z12, z21, z22)
+	if !ok {
+		return twoport.Mat2{}, fmt.Errorf("device: embed pads: %w", twoport.ErrSingularNetwork)
 	}
 	// Pad capacitances shunt the external ports (lossless).
-	y[0][0] += complex(0, w*ex.Cpg)
-	y[1][1] += complex(0, w*ex.Cpd)
-	return twoport.YToS(y, z0)
+	y11 += complex(0, w*ex.Cpg)
+	y22 += complex(0, w*ex.Cpd)
+
+	// S = (I+Yn)^-1 (I-Yn) on the z0-normalized Yn = [[a, b], [c, d]].
+	a, b := scaleC(y11, z0), scaleC(y12, z0)
+	c, d := scaleC(y21, z0), scaleC(y22, z0)
+	pa, pd := 1+a, 1+d
+	bc := b * c
+	den := pa*pd - bc
+	if singular(den, pa, b, c, pd) {
+		return twoport.Mat2{}, twoport.ErrSingularNetwork
+	}
+	r := recip(den)
+	return twoport.Mat2{
+		{(pd*(1-a) + bc) * r, -2 * b * r},
+		{-2 * c * r, (bc + pa*(1-d)) * r},
+	}, nil
+}
+
+// inv2 inverts [[a, b], [c, d]] through one reciprocal of the determinant;
+// ok is false when Mat2.Inv would report the matrix singular.
+func inv2(a, b, c, d complex128) (ia, ib, ic, id complex128, ok bool) {
+	det := a*d - b*c
+	if singular(det, a, b, c, d) {
+		return 0, 0, 0, 0, false
+	}
+	r := recip(det)
+	return d * r, -b * r, -c * r, a * r, true
+}
+
+// singular is the predicate of twoport.Mat2.Inv for [[a, b], [c, d]] with
+// determinant det: |det| <= 1e-12*(|a|+|b|)*(|c|+|d|). Since
+// (|a|+|b|)^2 <= 2(|a|^2+|b|^2), a determinant above the squared bound
+// clears it without a square root; only a near-singular matrix pays for the
+// exact test.
+func singular(det, a, b, c, d complex128) bool {
+	if sqAbs(det) > 4e-24*(sqAbs(a)+sqAbs(b))*(sqAbs(c)+sqAbs(d)) {
+		return false
+	}
+	return cmplx.Abs(det) <= 1e-12*(cmplx.Abs(a)+cmplx.Abs(b))*(cmplx.Abs(c)+cmplx.Abs(d))
+}
+
+// recip returns 1/v as the conjugate over |v|^2, without the overflow
+// scaling of complex division: immittances of physical element values are
+// many decades away from the float64 range limits.
+func recip(v complex128) complex128 {
+	k := 1 / sqAbs(v)
+	return complex(real(v)*k, -imag(v)*k)
+}
+
+// scaleC returns v*k for real k with two multiplications.
+func scaleC(v complex128, k float64) complex128 {
+	return complex(real(v)*k, imag(v)*k)
 }
 
 // FT returns the short-circuit current-gain cutoff frequency of the

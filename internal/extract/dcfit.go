@@ -2,6 +2,7 @@ package extract
 
 import (
 	"fmt"
+	"math"
 
 	"gnsslna/internal/device"
 	"gnsslna/internal/mathx"
@@ -33,6 +34,32 @@ func dcResiduals(m device.DCModel, ds *vna.Dataset, scale float64) []float64 {
 		}
 	}
 	return r
+}
+
+// DCObjective returns the objective the DC fit's global stage minimizes:
+// it writes p into m and returns the RMS of the normalized I-V residuals
+// (1e9 for a vector the model rejects). The squares are accumulated in
+// dcResiduals order, so the value equals mathx.RMS(dcResiduals(...))
+// without the residual slab.
+func DCObjective(m device.DCModel, ds *vna.Dataset) func(p []float64) float64 {
+	scale := maxCurrent(ds)
+	n := float64(len(ds.VgsGrid) * len(ds.VdsGrid))
+	return func(p []float64) float64 {
+		if err := m.SetParams(p); err != nil {
+			return 1e9
+		}
+		if n == 0 {
+			return 0
+		}
+		var s float64
+		for i, vgs := range ds.VgsGrid {
+			for j, vds := range ds.VdsGrid {
+				r := (m.Ids(vgs, vds) - ds.IV[i][j]) / scale
+				s += r * r
+			}
+		}
+		return math.Sqrt(s / n)
+	}
 }
 
 func maxCurrent(ds *vna.Dataset) float64 {
@@ -83,13 +110,10 @@ func fitDC(m device.DCModel, ds *vna.Dataset, seed int64, budget int, o obs.Obse
 	scale := maxCurrent(ds)
 	lo, hi := m.Bounds()
 	evals := 0
+	rms := DCObjective(m, ds)
 	obj := func(p []float64) float64 {
 		evals++
-		if err := m.SetParams(p); err != nil {
-			return 1e9
-		}
-		r := dcResiduals(m, ds, scale)
-		return mathx.RMS(r)
+		return rms(p)
 	}
 	pop := 10 * len(lo)
 	if pop < 20 {

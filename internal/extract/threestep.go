@@ -149,7 +149,7 @@ func ThreeStep(ds *vna.Dataset, dc device.DCModel, cfg Config) (Result, error) {
 	}
 	endLM(int64(sresJoint.Evals() - sres.Evals()))
 
-	d := sresJoint.device(lm.X)
+	d := sresJoint.Device(lm.X)
 	d.Name = "extracted-" + dc.Name()
 	d.Noise = cfg.NoiseModel
 	res.Device = d
