@@ -37,11 +37,12 @@ race:
 	$(GO) test -race -count=1 ./internal/obs ./internal/obs/export ./internal/obs/replay ./internal/optim ./internal/resilience ./internal/resilience/chaostest ./internal/core ./internal/extract ./internal/experiments ./internal/serve ./internal/verify ./internal/campaign
 
 # verify-invariants runs the correctness harness: the physics-invariant
-# sweeps and differential cross-checks of internal/verify, plus the
-# regression tests for every bug the harness has found so far (-count=1
-# defeats the cache so the sweeps really execute).
+# sweeps and differential cross-checks of internal/verify, the regression
+# tests for every bug the harness has found so far, and internal/core's
+# band-vs-per-point and allocation fences (-count=1 defeats the cache so
+# the sweeps really execute).
 verify-invariants:
-	$(GO) test -count=1 ./internal/verify/ ./internal/twoport/ ./internal/mna/ ./internal/touchstone/ ./internal/units/ ./internal/mathx/ ./internal/rfpassive/
+	$(GO) test -count=1 ./internal/verify/ ./internal/twoport/ ./internal/mna/ ./internal/touchstone/ ./internal/units/ ./internal/mathx/ ./internal/rfpassive/ ./internal/core/
 
 # fuzz-smoke gives each native fuzz target a bounded budget (FUZZTIME per
 # target) on top of the committed seed corpora. Go allows one fuzz target

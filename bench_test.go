@@ -209,6 +209,55 @@ func BenchmarkAmplifierMetricsBand(b *testing.B) {
 	}
 }
 
+// twoStageBenchInputs returns the designs and DefaultTwoStageSpec grids the
+// two-stage objective benchmarks grade.
+func twoStageBenchInputs() (builder *core.Builder, d1, d2 core.Design, pts, stab []float64) {
+	d1 = core.Design{Vgs: 0.46, Vds: 3, LIn: 5.6e-9, LDegen: 0.5e-9, LOut: 2.2e-9, COut: 0.5e-12}
+	d2 = core.Design{Vgs: 0.5, Vds: 3.5, LIn: 3.3e-9, LDegen: 0.2e-9, LOut: 4.7e-9, COut: 1e-12}
+	pts, stab = (&core.Designer{Spec: core.DefaultTwoStageSpec().Spec}).SweepGrids()
+	return core.NewBuilder(device.Golden()), d1, d2, pts, stab
+}
+
+func BenchmarkTwoStageObjective(b *testing.B) {
+	// One candidate of the two-stage search: build both stages, then grade
+	// the cascade on the band engine (in-band grid plus A-only stability
+	// scan) out of warmed workspaces, as OptimizeTwoStage's objective does.
+	builder, d1, d2, pts, stab := twoStageBenchInputs()
+	var ws1, ws2 core.BandWorkspace
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts, err := builder.BuildTwoStage(d1, d2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, _, err := ts.GradeBand(&ws1, &ws2, pts, stab, 50); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTwoStageMetricsAtLoop(b *testing.B) {
+	// The per-point reference for the same candidate: build both stages,
+	// then TwoStage.MetricsAt at every frequency of both grids.
+	builder, d1, d2, pts, stab := twoStageBenchInputs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts, err := builder.BuildTwoStage(d1, d2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, grid := range [2][]float64{pts, stab} {
+			for _, f := range grid {
+				if _, err := ts.MetricsAt(f, 50); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkAmplifierEvaluateMemoHit(b *testing.B) {
 	// The pure hit path: content hash, LRU lookup, immutable result.
 	des := core.NewDesigner(core.NewBuilder(device.Golden()))

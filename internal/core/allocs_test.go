@@ -68,6 +68,80 @@ func TestMuBandIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestBandWorkspaceRebindZeroAlloc pins the recompiling path: a warmed
+// workspace pointed at a different amplifier on every pass recompiles both
+// chains in place, into the step slabs it already owns, without allocating.
+func TestBandWorkspaceRebindZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	amp, freqs := allocFixture(t)
+	other, err := NewBuilder(device.Golden()).Build(Design{Vgs: 0.5, Vds: 2.5, LIn: 8.2e-9, LDegen: 0.3e-9, LOut: 3.3e-9, COut: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := new(BandWorkspace)
+	dst := make([]PointMetrics, len(freqs))
+	mus := make([]float64, len(freqs))
+	amps := [2]*Amplifier{amp, other}
+	k := 0
+	// next alternates the amplifiers call by call, so every call rebinds.
+	next := func() *Amplifier {
+		k++
+		return amps[k%2]
+	}
+	run := func() {
+		if err := next().MetricsBandInto(ws, dst, freqs, 50); err != nil {
+			t.Fatal(err)
+		}
+		if err := next().muBandInto(ws, mus, freqs, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("rebinding a warmed workspace allocates %.1f times per pass, want 0", n)
+	}
+	if ws.forAmp != amps[k%2] {
+		t.Fatal("workspace is not bound to the last amplifier it evaluated")
+	}
+}
+
+// TestTwoStageGradeBandZeroAlloc pins the two-stage band grader on warmed
+// workspaces, alternating between two cascades so every pass rebinds (and
+// recompiles) both stages.
+func TestTwoStageGradeBandZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	b := NewBuilder(device.Golden())
+	d1 := Design{Vgs: 0.46, Vds: 3, LIn: 5.6e-9, LDegen: 0.5e-9, LOut: 2.2e-9, COut: 0.5e-12}
+	d2 := Design{Vgs: 0.5, Vds: 2.5, LIn: 8.2e-9, LDegen: 0.3e-9, LOut: 3.3e-9, COut: 1e-12}
+	var cascades [2]*TwoStage
+	for i, pair := range [2][2]Design{{d1, d2}, {d2, d1}} {
+		ts, err := b.BuildTwoStage(pair[0], pair[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cascades[i] = ts
+	}
+	spec := DefaultTwoStageSpec()
+	pts, stab := spec.points(), spec.stabPoints()
+	ws1, ws2 := new(BandWorkspace), new(BandWorkspace)
+	pass := 0
+	run := func() {
+		ts := cascades[pass%2]
+		pass++
+		if _, _, _, err := ts.GradeBand(ws1, ws2, pts, stab, 50); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("two-stage GradeBand allocates %.1f times per pass, want 0", n)
+	}
+}
+
 // TestEvaluateMemoHitZeroAlloc pins the memo hit path: once a design is
 // cached, re-evaluating it must not allocate — the serve workers lean on
 // this for repeated-spec attempts.

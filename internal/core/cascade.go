@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 
-	"gnsslna/internal/mathx"
 	"gnsslna/internal/noise"
 	"gnsslna/internal/optim"
-	"gnsslna/internal/twoport"
 )
 
 // TwoStage is a cascade of two single-stage amplifiers sharing the same
@@ -46,29 +43,14 @@ func (t *TwoStage) NoisyAt(f float64) (noise.TwoPort, error) {
 	return a.Cascade(b), nil
 }
 
-// MetricsAt evaluates the cascade at one frequency.
+// MetricsAt evaluates the cascade at one frequency: the per-point
+// reference that GradeBand must reproduce (==).
 func (t *TwoStage) MetricsAt(f, z0 float64) (PointMetrics, error) {
 	tp, err := t.NoisyAt(f)
 	if err != nil {
 		return PointMetrics{}, err
 	}
-	s, err := tp.S(z0)
-	if err != nil {
-		return PointMetrics{}, err
-	}
-	m := PointMetrics{
-		Freq:  f,
-		NFdB:  mathx.DB10(tp.FigureY(complex(1/z0, 0))),
-		GTdB:  mathx.DB10(twoport.TransducerGain(s, 0, 0)),
-		S11dB: db20Mag(s[0][0]),
-		S22dB: db20Mag(s[1][1]),
-		K:     twoport.RolletK(s),
-		Mu:    twoport.MuSource(s),
-	}
-	if p, err := tp.NoiseParams(z0); err == nil {
-		m.FminDB = p.FminDB()
-	}
-	return m, nil
+	return pointMetricsOf(tp, f, z0)
 }
 
 // Ids returns the total drain current of both stages.
@@ -107,42 +89,35 @@ type TwoStageResult struct {
 }
 
 // OptimizeTwoStage selects both stages jointly (12 free parameters) with
-// the improved goal-attainment method.
+// the improved goal-attainment method. Every candidate is graded on the band
+// engine (TwoStage.GradeBand). The eval tally is the designer's (reset at
+// entry, as in Optimize), so EvalCount reports it too and candidates graded
+// on concurrent workers count exactly.
 func (d *Designer) OptimizeTwoStage(spec TwoStageSpec, opts *optim.AttainOptions) (TwoStageResult, error) {
+	d.evals.Store(0)
 	lo1, hi1 := DesignBounds()
 	lo := append(append([]float64(nil), lo1...), lo1...)
 	hi := append(append([]float64(nil), hi1...), hi1...)
 	points := spec.points()
 	stab := spec.stabPoints()
-	evals := 0
 
 	evaluate := func(x []float64) (nf, gt, margin, pdc float64, err error) {
 		ts, err := d.Builder.BuildTwoStage(DesignFromVector(x[:6]), DesignFromVector(x[6:]))
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		nf, gt, margin = math.Inf(-1), math.Inf(1), math.Inf(1)
-		for _, f := range points {
-			m, err := ts.MetricsAt(f, d.z0())
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			nf = math.Max(nf, m.NFdB)
-			gt = math.Min(gt, m.GTdB)
-			margin = math.Min(margin, m.Mu-1)
-		}
-		for _, f := range stab {
-			m, err := ts.MetricsAt(f, d.z0())
-			if err != nil {
-				return 0, 0, 0, 0, err
-			}
-			margin = math.Min(margin, m.Mu-1)
+		ws1, ws2 := getBandWorkspace(), getBandWorkspace()
+		nf, gt, margin, err = ts.GradeBand(ws1, ws2, points, stab, d.z0())
+		putBandWorkspace(ws1)
+		putBandWorkspace(ws2)
+		if err != nil {
+			return 0, 0, 0, 0, err
 		}
 		return nf, gt, margin, ts.PowerDissipation(), nil
 	}
 
 	obj := func(x []float64) []float64 {
-		evals++
+		d.evals.Add(1)
 		nf, gt, margin, pdc, err := evaluate(x)
 		if err != nil {
 			return []float64{99, 99, 99, 99}
@@ -178,6 +153,6 @@ func (d *Designer) OptimizeTwoStage(spec TwoStageSpec, opts *optim.AttainOptions
 		StabMargin: margin,
 		PdcW:       pdc,
 		Gamma:      res.Gamma,
-		Evals:      evals,
+		Evals:      int(d.evals.Load()),
 	}, nil
 }

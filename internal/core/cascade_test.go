@@ -107,3 +107,36 @@ func TestOptimizeTwoStageReaches30dB(t *testing.T) {
 		t.Error("missing eval count")
 	}
 }
+
+// TestOptimizeTwoStageWorkersMatchSerial pins the two-stage search to the
+// optimizer's determinism contract: candidates graded on two workers give
+// the serial run's result bit-for-bit, and the eval tally (charged from the
+// workers) counts exactly. Runs under `make race`, which is what keeps the
+// tally honest.
+func TestOptimizeTwoStageWorkersMatchSerial(t *testing.T) {
+	run := func(workers int) (TwoStageResult, int64) {
+		d := NewDesigner(NewBuilder(device.Golden()))
+		spec := DefaultTwoStageSpec()
+		spec.Spec.NPoints = 5
+		res, err := d.OptimizeTwoStage(spec, &optim.AttainOptions{Seed: 3, GlobalEvals: 240, PolishEvals: 80, Workers: workers})
+		if err != nil {
+			t.Fatalf("OptimizeTwoStage(workers=%d): %v", workers, err)
+		}
+		return res, d.EvalCount()
+	}
+	serial, serialCount := run(1)
+	parallel, parallelCount := run(2)
+	if serial.D1 != parallel.D1 || serial.D2 != parallel.D2 {
+		t.Errorf("designs differ across workers:\nserial   %+v %+v\nparallel %+v %+v",
+			serial.D1, serial.D2, parallel.D1, parallel.D2)
+	}
+	if !bitsEqual(serial.Gamma, parallel.Gamma) {
+		t.Errorf("gamma %v (workers=2) != %v (serial)", parallel.Gamma, serial.Gamma)
+	}
+	if serial.Evals != parallel.Evals {
+		t.Errorf("evals %d (workers=2) != %d (serial)", parallel.Evals, serial.Evals)
+	}
+	if serial.Evals == 0 || int64(serial.Evals) != serialCount || int64(parallel.Evals) != parallelCount {
+		t.Errorf("Evals %d/%d disagree with EvalCount %d/%d", serial.Evals, parallel.Evals, serialCount, parallelCount)
+	}
+}

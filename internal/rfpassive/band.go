@@ -37,63 +37,60 @@ const (
 
 type chainStep struct {
 	kind stepKind
-	// elem is always retained: generic steps evaluate it directly, and
-	// elementary steps fall back to it on non-finite operands.
+	// elem is always retained: generic steps evaluate it directly,
+	// elementary steps derive their factor from it (see value), and both
+	// fall back to it on non-finite operands.
 	elem Element
-	// zy yields the series impedance (stepSeries) or shunt admittance
-	// (stepShunt) at f.
-	zy func(f float64) complex128
 	// temp is the resolved physical temperature in kelvin.
 	temp float64
+	// cj is a Tee's junction capacitance, frozen at compile time so the
+	// band loop skips the Hammerstad fit per point (JunctionCapacitance
+	// returns a stored positive value unchanged, so this is exact).
+	cj float64
 }
 
 // CompileChain lowers ch to its batched form. The Chain itself is not
 // retained; re-compile after mutating element parameters.
 func CompileChain(ch Chain) *CompiledChain {
 	cc := &CompiledChain{steps: make([]chainStep, 0, len(ch))}
+	cc.Compile(ch)
+	return cc
+}
+
+// Compile re-lowers cc in place to the batched form of ch, reusing the step
+// slab: once its capacity covers len(ch), recompiling allocates nothing.
+// Every step of the previous chain is discarded.
+func (cc *CompiledChain) Compile(ch Chain) {
+	cc.steps = cc.steps[:0]
 	for _, e := range ch {
 		cc.steps = append(cc.steps, compileElement(e))
 	}
-	return cc
+	// Drop the references the discarded tail still holds.
+	clear(cc.steps[len(cc.steps):cap(cc.steps)])
 }
 
 func compileElement(e Element) chainStep {
 	switch el := e.(type) {
 	case Inductor:
-		return lumpedStep(e, el.Orient, el.Impedance, el.Temp)
+		return lumpedStep(e, el.Orient, el.Temp)
 	case Capacitor:
-		return lumpedStep(e, el.Orient, el.Impedance, el.Temp)
+		return lumpedStep(e, el.Orient, el.Temp)
 	case Resistor:
-		return lumpedStep(e, el.Orient, el.Impedance, el.Temp)
+		return lumpedStep(e, el.Orient, el.Temp)
 	case Tee:
-		// Freeze the geometry-only junction capacitance so the band loop
-		// skips the Hammerstad fit per point (JunctionCapacitance returns
-		// the stored value unchanged, so this is exact).
-		el.CJunction = el.JunctionCapacitance()
-		return chainStep{kind: stepShunt, elem: el, zy: el.TotalShuntY, temp: el.Sub.temp()}
+		return chainStep{kind: stepShunt, elem: e, temp: el.Sub.temp(), cj: el.JunctionCapacitance()}
 	case ShuntBranch:
-		return chainStep{
-			kind: stepShunt,
-			elem: el,
-			zy:   func(f float64) complex128 { return 1 / el.Impedance(f) },
-			temp: resolveTemp(el.Temp),
-		}
+		return chainStep{kind: stepShunt, elem: e, temp: resolveTemp(el.Temp)}
 	default:
 		return chainStep{kind: stepGeneric, elem: e}
 	}
 }
 
-func lumpedStep(e Element, o Orientation, imp func(float64) complex128, temp float64) chainStep {
-	t := resolveTemp(temp)
+func lumpedStep(e Element, o Orientation, temp float64) chainStep {
 	if o == Shunt {
-		return chainStep{
-			kind: stepShunt,
-			elem: e,
-			zy:   func(f float64) complex128 { return 1 / imp(f) },
-			temp: t,
-		}
+		return chainStep{kind: stepShunt, elem: e, temp: resolveTemp(temp)}
 	}
-	return chainStep{kind: stepSeries, elem: e, zy: imp, temp: t}
+	return chainStep{kind: stepSeries, elem: e, temp: resolveTemp(temp)}
 }
 
 func resolveTemp(t float64) float64 {
@@ -101,6 +98,31 @@ func resolveTemp(t float64) float64 {
 		return mathx.T0
 	}
 	return t
+}
+
+// value yields the series impedance (stepSeries) or shunt admittance
+// (stepShunt) of an elementary step at f: a tee loads the line with its
+// total shunt admittance, every other element with its impedance, inverted
+// when it sits in shunt.
+func (st *chainStep) value(f float64) complex128 {
+	var z complex128
+	switch el := st.elem.(type) {
+	case Tee:
+		el.CJunction = st.cj
+		return el.TotalShuntY(f)
+	case Inductor:
+		z = el.Impedance(f)
+	case Capacitor:
+		z = el.Impedance(f)
+	case Resistor:
+		z = el.Impedance(f)
+	case ShuntBranch:
+		z = el.Impedance(f)
+	}
+	if st.kind == stepShunt {
+		return 1 / z
+	}
+	return z
 }
 
 // NoisyAt returns the cascade as a noisy two-port at f, equal (==) to the
@@ -113,7 +135,7 @@ func (cc *CompiledChain) NoisyAt(f float64) noise.TwoPort {
 			n = n.Cascade(st.elem.Noisy(f))
 			continue
 		}
-		v := st.zy(f)
+		v := st.value(f)
 		if !finiteC(v) {
 			n = n.Cascade(st.elem.Noisy(f))
 			continue
@@ -150,7 +172,7 @@ func (cc *CompiledChain) ABCDAt(f float64) twoport.Mat2 {
 			a = a.Mul(st.elem.ABCD(f))
 			continue
 		}
-		v := st.zy(f)
+		v := st.value(f)
 		if !finiteC(v) {
 			a = a.Mul(st.elem.ABCD(f))
 			continue

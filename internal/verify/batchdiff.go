@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"math"
+
 	"gnsslna/internal/core"
 	"gnsslna/internal/device"
 	"gnsslna/internal/noise"
@@ -31,8 +33,15 @@ func exactMat2(context, name string, a, b twoport.Mat2) []Violation {
 // two-port and chain matrix equal (==) the per-point Chain.Noisy/ABCD at
 // every frequency.
 func BatchChainEquivalence(context string, ch rfpassive.Chain, freqs []float64) []Violation {
+	return CompiledChainEquivalence(context, rfpassive.CompileChain(ch), ch, freqs)
+}
+
+// CompiledChainEquivalence demands that cc, however it was compiled (fresh,
+// or recompiled in place over another chain), reproduce ch: its noisy
+// two-port and chain matrix must equal (==) Chain.Noisy/ABCD at every
+// frequency.
+func CompiledChainEquivalence(context string, cc *rfpassive.CompiledChain, ch rfpassive.Chain, freqs []float64) []Violation {
 	var out []Violation
-	cc := rfpassive.CompileChain(ch)
 	for i, f := range freqs {
 		ref := ch.Noisy(f)
 		got := cc.NoisyAt(f)
@@ -96,4 +105,56 @@ func BatchAmplifierEquivalence(context string, amp *core.Amplifier, freqs []floa
 		}
 	}
 	return out
+}
+
+// BatchTwoStageEquivalence demands that the two-stage band grader
+// (TwoStage.GradeBand on ws1/ws2) reproduce the per-point reference — a
+// loop of TwoStage.MetricsAt over the in-band grid pts (worst NF, minimum
+// GT, min mu - 1) and the stability grid stab (min mu - 1): the three
+// grades must be equal (==, NaN matching NaN), and the two paths must agree
+// on whether the cascade can be graded at all. The workspaces may carry
+// state from earlier calls, which is the rebinding path the optimizer
+// rides.
+func BatchTwoStageEquivalence(context string, ws1, ws2 *core.BandWorkspace, ts *core.TwoStage, pts, stab []float64, z0 float64) []Violation {
+	nf, gt, margin, err := ts.GradeBand(ws1, ws2, pts, stab, z0)
+	refNF, refGT, refMargin, refErr := twoStagePointGrade(ts, pts, stab, z0)
+	if (err == nil) != (refErr == nil) {
+		return []Violation{violation("batch-differential", context, 0,
+			"error verdicts differ: band %v, per-point %v", err, refErr)}
+	}
+	if err != nil {
+		return nil
+	}
+	var out []Violation
+	for _, g := range []struct {
+		name      string
+		band, ref float64
+	}{{"worst NF", nf, refNF}, {"min GT", gt, refGT}, {"stability margin", margin, refMargin}} {
+		if g.band != g.ref && !(math.IsNaN(g.band) && math.IsNaN(g.ref)) {
+			out = append(out, violation("batch-differential", context, math.Abs(g.band-g.ref),
+				"%s: band %v != per-point %v", g.name, g.band, g.ref))
+		}
+	}
+	return out
+}
+
+// twoStagePointGrade is the per-point two-stage grade: MetricsAt at every
+// frequency of both grids.
+func twoStagePointGrade(ts *core.TwoStage, pts, stab []float64, z0 float64) (nf, gt, margin float64, err error) {
+	nf, gt, margin = math.Inf(-1), math.Inf(1), math.Inf(1)
+	for _, f := range pts {
+		m, err := ts.MetricsAt(f, z0)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		nf, gt, margin = math.Max(nf, m.NFdB), math.Min(gt, m.GTdB), math.Min(margin, m.Mu-1)
+	}
+	for _, f := range stab {
+		m, err := ts.MetricsAt(f, z0)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		margin = math.Min(margin, m.Mu-1)
+	}
+	return nf, gt, margin, nil
 }

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -203,5 +204,79 @@ func TestMemoBitIdentityThroughEvalPool(t *testing.T) {
 		if got, want := restarted.EvalCount(), int64(len(xs)); got != want {
 			t.Fatalf("workers=%d eval tally = %d, want %d", workers, got, want)
 		}
+	}
+}
+
+// TestBatchTwoStageEquivalence demands the two-stage band grader equal (==)
+// the per-point MetricsAt loop over the two-stage spec's grids, with
+// identical error verdicts. The lots span the golden device and three
+// GoldenVariant lots on both substrates; the designs are random 12-D points
+// in the design box plus hostile ones (each coordinate of either stage set
+// to NaN, ±Inf, 0, negative or huge) that drive the non-finite fallbacks
+// and the singular-network errors. One workspace pair serves every grade,
+// so each call rebinds and recompiles both stages in place.
+func TestBatchTwoStageEquivalence(t *testing.T) {
+	devs := []*device.PHEMT{device.Golden()}
+	for _, seed := range []int64{1, 2, 3} {
+		dev, err := device.GoldenVariant(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		devs = append(devs, dev)
+	}
+	subs := map[string]rfpassive.Substrate{"ro4350": rfpassive.RogersRO4350(), "fr4": rfpassive.FR4()}
+	lo, hi := core.DesignBounds()
+	ref := core.Design{Vgs: 0.46, Vds: 3, LIn: 5.6e-9, LDegen: 0.5e-9, LOut: 2.2e-9, COut: 0.5e-12}
+	type pair struct{ d1, d2 core.Design }
+	var hostile []pair
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -5, 1e6} {
+		for i := range lo {
+			x := ref.Vector()
+			x[i] = v
+			d := core.DesignFromVector(x)
+			hostile = append(hostile, pair{d, ref}, pair{ref, d})
+		}
+	}
+	rng := rand.New(rand.NewSource(13))
+	random := func() core.Design {
+		x := make([]float64, len(lo))
+		for i := range x {
+			x[i] = lo[i] + rng.Float64()*(hi[i]-lo[i])
+		}
+		return core.DesignFromVector(x)
+	}
+	var ws1, ws2 core.BandWorkspace
+	graded, failed := 0, 0
+	for _, dev := range devs {
+		for subName, sub := range subs {
+			b := core.NewBuilder(dev)
+			b.Sub = sub
+			designs := append([]pair(nil), hostile...)
+			for i := 0; i < 40; i++ {
+				designs = append(designs, pair{random(), random()})
+			}
+			for i, p := range designs {
+				ts, err := b.BuildTwoStage(p.d1, p.d2)
+				if err != nil {
+					continue
+				}
+				spec := core.DefaultTwoStageSpec()
+				spec.NPoints = []int{3, 11, 21}[i%3]
+				pts, stab := (&core.Designer{Spec: spec.Spec}).SweepGrids()
+				ctx := fmt.Sprintf("%s/%s design %d", dev.Name, subName, i)
+				var r Report
+				r.Add(BatchTwoStageEquivalence(ctx, &ws1, &ws2, ts, pts, stab, 50))
+				if !r.OK() {
+					t.Error(r.String())
+				}
+				graded++
+				if _, _, _, err := ts.GradeBand(&ws1, &ws2, pts, stab, 50); err != nil {
+					failed++
+				}
+			}
+		}
+	}
+	if graded == 0 || failed == 0 || failed == graded {
+		t.Fatalf("graded %d cascades, %d failing: both verdicts must be exercised", graded, failed)
 	}
 }
