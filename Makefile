@@ -34,7 +34,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -count=1 ./internal/obs ./internal/obs/export ./internal/obs/replay ./internal/optim ./internal/resilience ./internal/resilience/chaostest ./internal/core ./internal/extract ./internal/experiments ./internal/serve ./internal/verify ./internal/campaign
+	$(GO) test -race -count=1 ./internal/jsonl ./internal/obs ./internal/obs/export ./internal/obs/replay ./internal/optim ./internal/resilience ./internal/resilience/chaostest ./internal/core ./internal/extract ./internal/experiments ./internal/serve ./internal/verify ./internal/campaign
 
 # verify-invariants runs the correctness harness: the physics-invariant
 # sweeps and differential cross-checks of internal/verify, the regression
@@ -46,11 +46,12 @@ verify-invariants:
 
 # fuzz-smoke gives each native fuzz target a bounded budget (FUZZTIME per
 # target) on top of the committed seed corpora. Go allows one fuzz target
-# per invocation, hence the three runs.
+# per invocation, hence one run each.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/touchstone/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/units/
-	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/obs/replay/
+	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/jsonl/
+	$(GO) test -fuzz=FuzzJobSpec -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # trace-smoke is the end-to-end check of the causal tracing plane: a quick
 # parallel lnaopt run writes a journal, obsreport reconstructs the span tree
@@ -123,15 +124,15 @@ campaign-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/campaign" ./cmd/campaign; \
 	$(GO) build -o "$$tmp/obsreport" ./cmd/obsreport; \
-	"$$tmp/campaign" run -spec examples/campaigns/smoke.yaml -out "$$tmp/a" -parallel 2 2> "$$tmp/run1.log"; \
+	"$$tmp/campaign" run -spec examples/campaigns/smoke.json -out "$$tmp/a" -parallel 2 2> "$$tmp/run1.log"; \
 	test -s "$$tmp/a/campaign.summary.json"; test -s "$$tmp/a/RESULTS.md"; \
 	cp "$$tmp/a/campaign.summary.json" "$$tmp/first.json"; \
 	rm "$$tmp/a/campaign.summary.json"; \
-	"$$tmp/campaign" run -spec examples/campaigns/smoke.yaml -out "$$tmp/a" 2> "$$tmp/run2.log"; \
+	"$$tmp/campaign" run -spec examples/campaigns/smoke.json -out "$$tmp/a" 2> "$$tmp/run2.log"; \
 	grep -q '2 restored from checkpoint' "$$tmp/run2.log"; \
 	cmp "$$tmp/first.json" "$$tmp/a/campaign.summary.json"; \
 	"$$tmp/campaign" check -out "$$tmp/a"; \
-	"$$tmp/campaign" run -spec examples/campaigns/smoke.yaml -out "$$tmp/b" -parallel 2 2> /dev/null; \
+	"$$tmp/campaign" run -spec examples/campaigns/smoke.json -out "$$tmp/b" -parallel 2 2> /dev/null; \
 	"$$tmp/obsreport" campaign-diff "$$tmp/a/campaign.summary.json" "$$tmp/b/campaign.summary.json" > "$$tmp/diff.txt"; \
 	cat "$$tmp/diff.txt"; \
 	grep -q 'identical: 2 cells' "$$tmp/diff.txt"; \

@@ -1,12 +1,12 @@
-// Command campaign runs declarative design campaigns: a YAML/JSON spec
+// Command campaign runs declarative design campaigns: a JSON spec
 // enumerates a (band, spec, substrate, device variant, algorithm, seed)
 // grid, and each cell is optimized deterministically and checkpointed, so
 // a killed run resumes bit-identically.
 //
 // Usage:
 //
-//	campaign run   -spec examples/campaigns/gnss-l1-l5.yaml -out out/ [-parallel N] [-journal run.jsonl]
-//	campaign cells -spec examples/campaigns/gnss-l1-l5.yaml [-json]
+//	campaign run   -spec examples/campaigns/gnss-l1-l5.json -out out/ [-parallel N] [-journal run.jsonl]
+//	campaign cells -spec examples/campaigns/gnss-l1-l5.json [-json]
 //	campaign check -out out/
 //
 // run executes (or resumes) the campaign into -out: cells already recorded
@@ -49,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	cmd, rest := args[0], args[1:]
 	fs := flag.NewFlagSet("campaign "+cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	specPath := fs.String("spec", "", "campaign spec file (.yaml/.yml/.json)")
+	specPath := fs.String("spec", "", "campaign spec file (.json)")
 	outDir := fs.String("out", "", "output directory (summary, RESULTS.md, checkpoint)")
 	parallel := fs.Int("parallel", 1, "cells optimized concurrently (never changes results)")
 	journalPath := fs.String("journal", "", "write solver convergence events to this JSONL journal")

@@ -11,7 +11,7 @@ import (
 	"gnsslna/internal/campaign"
 )
 
-const smokeSpec = "../../examples/campaigns/smoke.yaml"
+const smokeSpec = "../../examples/campaigns/smoke.json"
 
 func runCLI(t *testing.T, args ...string) (stdout, stderr string) {
 	t.Helper()
@@ -93,11 +93,18 @@ func TestRunResumeCheckEndToEnd(t *testing.T) {
 	}
 }
 
-// Every committed example campaign must load, validate and expand.
+// Every committed example campaign must load, validate, expand and keep
+// its pinned spec digest: the digest keys every cell's checkpoint, so a
+// changed digest would orphan the checkpoints of existing campaign runs.
 func TestCommittedExamplesLoad(t *testing.T) {
-	matches, err := filepath.Glob("../../examples/campaigns/*.yaml")
-	if err != nil || len(matches) < 3 {
-		t.Fatalf("examples missing: %v (%v)", matches, err)
+	digests := map[string]string{
+		"smoke.json":      "c515e42cf88660d9",
+		"gnss-l1-l5.json": "2c4c1a4230c5bd99",
+		"sband-lna.json":  "fc6805d563c5fb23",
+	}
+	matches, err := filepath.Glob("../../examples/campaigns/*.json")
+	if err != nil || len(matches) != len(digests) {
+		t.Fatalf("examples = %v (%v), want %d", matches, err, len(digests))
 	}
 	for _, path := range matches {
 		spec, err := campaign.Load(path)
@@ -108,12 +115,15 @@ func TestCommittedExamplesLoad(t *testing.T) {
 		if cells := spec.Expand(); len(cells) < 2 {
 			t.Errorf("%s: only %d cells", path, len(cells))
 		}
+		if got, want := spec.Digest(), digests[filepath.Base(path)]; got != want {
+			t.Errorf("%s: digest %s, want %s", path, got, want)
+		}
 	}
 }
 
 // The paper scenario is the acceptance-criteria example: at least 4 cells.
 func TestPaperCampaignHasFourCells(t *testing.T) {
-	spec, err := campaign.Load("../../examples/campaigns/gnss-l1-l5.yaml")
+	spec, err := campaign.Load("../../examples/campaigns/gnss-l1-l5.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,6 +33,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -40,6 +41,7 @@ import (
 	"path/filepath"
 
 	"gnsslna/internal/campaign"
+	"gnsslna/internal/jsonl"
 	"gnsslna/internal/obs/replay"
 )
 
@@ -76,9 +78,10 @@ func loadMerged(paths []string, stderr io.Writer) (*replay.Run, error) {
 func load(path string, stderr io.Writer) (*replay.Run, error) {
 	r, err := replay.ParseFile(path)
 	if err != nil {
-		if te, ok := replay.AsTailError(err); ok && r != nil {
-			fmt.Fprintf(stderr, "obsreport: warning: %s: %v (analyzing the %d complete records)\n",
-				path, te, len(r.Records))
+		var te *jsonl.TailError
+		if errors.As(err, &te) {
+			fmt.Fprintf(stderr, "obsreport: warning: %v (analyzing the %d complete records)\n",
+				te, len(r.Records))
 			return r, nil
 		}
 		return nil, err

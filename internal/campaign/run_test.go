@@ -120,6 +120,40 @@ func TestRunResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRunTornCheckpointResumes: a checkpoint whose last line was torn by a
+// crash mid-write must not wedge the campaign. The run restores the
+// complete records, recomputes the torn cell, amputates the torn line on
+// its next save, and a second run then restores every cell.
+func TestRunTornCheckpointResumes(t *testing.T) {
+	spec := testSpec()
+	spec.Axes.Seeds = []int64{1, 2}
+	refDir := t.TempDir()
+	if _, err := Run(spec, RunOptions{OutDir: refDir, Parallel: 1}); err != nil {
+		t.Fatal(err)
+	}
+	refSummary := readFile(t, filepath.Join(refDir, SummaryFile))
+	lines := bytes.SplitAfter(readFile(t, filepath.Join(refDir, CheckpointFile)), []byte("\n"))
+	torn := append(append([]byte{}, lines[0]...), lines[1][:len(lines[1])/2]...)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, CheckpointFile), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, want := range []string{"2 cells, 1 restored from checkpoint", "2 cells, 2 restored from checkpoint"} {
+		var logged strings.Builder
+		if _, err := Run(spec, RunOptions{OutDir: dir, Parallel: 1,
+			Logf: func(f string, a ...any) { fmt.Fprintf(&logged, f+"\n", a...) }}); err != nil {
+			t.Fatalf("Run over a torn checkpoint: %v", err)
+		}
+		if !strings.Contains(logged.String(), want) {
+			t.Fatalf("log lacks %q:\n%s", want, logged.String())
+		}
+		if got := readFile(t, filepath.Join(dir, SummaryFile)); !bytes.Equal(got, refSummary) {
+			t.Fatalf("summary after a torn checkpoint differs from the reference")
+		}
+	}
+}
+
 // TestRunRerunRestoresEverything pins full-restore idempotence: re-running
 // a finished campaign restores every cell and rewrites identical bytes.
 func TestRunRerunRestoresEverything(t *testing.T) {

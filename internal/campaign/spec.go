@@ -1,4 +1,4 @@
-// Package campaign is the declarative campaign engine: a YAML/JSON spec
+// Package campaign is the declarative campaign engine: a JSON spec
 // enumerates a (band, spec, substrate, device variant, algorithm, seed)
 // grid, the runner expands it into deterministic per-cell design jobs,
 // fans them out across the EvalPool worker machinery, checkpoints each
@@ -15,6 +15,7 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -124,31 +125,17 @@ var (
 	knownAlgorithms = []string{"attain", "nsga2"}
 )
 
-// Load reads and validates a campaign spec file. The format follows the
-// extension: .json is decoded directly; .yaml/.yml through the yamlite
-// subset reader. Defaults are applied (see Normalize).
+// Load reads and validates a JSON campaign spec file. Unknown fields are
+// rejected, and defaults are applied (see Normalize).
 func Load(path string) (*Spec, error) {
+	if ext := strings.ToLower(filepath.Ext(path)); ext != ".json" {
+		return nil, fmt.Errorf("campaign: %s: unsupported spec extension %q (want .json)", path, ext)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	var jsonBytes []byte
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		jsonBytes = data
-	case ".yaml", ".yml":
-		doc, err := parseYamlite(data)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", path, err)
-		}
-		jsonBytes, err = json.Marshal(doc)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", path, err)
-		}
-	default:
-		return nil, fmt.Errorf("campaign: %s: unsupported spec extension %q (want .json, .yaml or .yml)", path, ext)
-	}
-	dec := json.NewDecoder(strings.NewReader(string(jsonBytes)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	spec := &Spec{}
 	if err := dec.Decode(spec); err != nil {

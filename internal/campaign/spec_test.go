@@ -33,31 +33,18 @@ func writeSpecFile(t *testing.T, name, body string) string {
 	return path
 }
 
-const yamlSpec = `
-version: 1
-name: two-cell
-seed: 3
-quick: true
-budget:
-  global_evals: 60
-  polish_evals: 30
-axes:
-  bands:
-    - name: l1
-      f_low_hz: 1.559e9
-      f_high_hz: 1.61e9
-      points: 3
-  specs:
-    - name: gnss
-      nf_max_db: 0.9
-      gt_min_db: 14
-      s11_max_db: -10
-      s22_max_db: -10
-  substrates: [ro4350, fr4]
-`
+const jsonSpec = `{
+  "version": 1, "name": "two-cell", "seed": 3, "quick": true,
+  "budget": {"global_evals": 60, "polish_evals": 30},
+  "axes": {
+    "bands": [{"name": "l1", "f_low_hz": 1.559e9, "f_high_hz": 1.61e9, "points": 3}],
+    "specs": [{"name": "gnss", "nf_max_db": 0.9, "gt_min_db": 14, "s11_max_db": -10, "s22_max_db": -10}],
+    "substrates": ["ro4350", "fr4"]
+  }
+}`
 
-func TestLoadYAMLSpec(t *testing.T) {
-	s, err := Load(writeSpecFile(t, "c.yaml", yamlSpec))
+func TestLoadJSONSpec(t *testing.T) {
+	s, err := Load(writeSpecFile(t, "c.json", jsonSpec))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -80,34 +67,74 @@ func TestLoadYAMLSpec(t *testing.T) {
 	}
 }
 
-func TestLoadJSONSpecEquivalent(t *testing.T) {
-	jsonBody := `{
-  "version": 1, "name": "two-cell", "seed": 3, "quick": true,
-  "budget": {"global_evals": 60, "polish_evals": 30},
-  "axes": {
-    "bands": [{"name": "l1", "f_low_hz": 1.559e9, "f_high_hz": 1.61e9, "points": 3}],
-    "specs": [{"name": "gnss", "nf_max_db": 0.9, "gt_min_db": 14, "s11_max_db": -10, "s22_max_db": -10}],
-    "substrates": ["ro4350", "fr4"]
-  }
-}`
-	fromYAML, err := Load(writeSpecFile(t, "c.yaml", yamlSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, err := Load(writeSpecFile(t, "c.json", jsonBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromYAML.Digest() != fromJSON.Digest() {
-		t.Fatalf("YAML and JSON spellings digest differently: %s vs %s",
-			fromYAML.Digest(), fromJSON.Digest())
+func TestLoadRejectsUnknownFields(t *testing.T) {
+	body := strings.Replace(jsonSpec, `"version": 1,`, `"version": 1, "typo_field": 1,`, 1)
+	_, err := Load(writeSpecFile(t, "c.json", body))
+	if err == nil || !strings.Contains(err.Error(), "typo_field") {
+		t.Fatalf("unknown field not rejected: %v", err)
 	}
 }
 
-func TestLoadRejectsUnknownFields(t *testing.T) {
-	_, err := Load(writeSpecFile(t, "c.yaml", yamlSpec+"\ntypo_field: 1\n"))
-	if err == nil || !strings.Contains(err.Error(), "typo_field") {
-		t.Fatalf("unknown field not rejected: %v", err)
+// TestLoadYAMLSpec pins that a YAML spec is refused with an error that
+// names the accepted format, whatever the file's body.
+func TestLoadYAMLSpec(t *testing.T) {
+	const yamlSpec = `
+version: 1
+name: two-cell
+seed: 3
+quick: true
+budget:
+  global_evals: 60
+  polish_evals: 30
+axes:
+  bands:
+    - name: l1
+      f_low_hz: 1.559e9
+      f_high_hz: 1.61e9
+      points: 3
+  specs:
+    - name: gnss
+      nf_max_db: 0.9
+      gt_min_db: 14
+      s11_max_db: -10
+      s22_max_db: -10
+  substrates: [ro4350, fr4]
+`
+	for _, name := range []string{"c.yaml", "c.yml"} {
+		_, err := Load(writeSpecFile(t, name, yamlSpec))
+		if err == nil || !strings.Contains(err.Error(), "want .json") {
+			t.Fatalf("%s not rejected: %v", name, err)
+		}
+	}
+	// A JSON body behind a .yaml name is refused too: the extension
+	// decides, so no file is read in a format it does not claim.
+	if _, err := Load(writeSpecFile(t, "c.yaml", jsonSpec)); err == nil {
+		t.Fatal(".yaml name with a JSON body accepted")
+	}
+}
+
+// TestLoadJSONSpecEquivalent checks that the JSON file and the same spec
+// built in Go digest alike, so Load adds nothing beyond Normalize.
+func TestLoadJSONSpecEquivalent(t *testing.T) {
+	fromJSON, err := Load(writeSpecFile(t, "c.json", jsonSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromGo := &Spec{
+		Version: 1, Name: "two-cell", Seed: 3, Quick: true,
+		Budget: Budget{GlobalEvals: 60, PolishEvals: 30},
+		Axes: Axes{
+			Bands:      []BandAxis{{Name: "l1", FLowHz: 1.559e9, FHighHz: 1.61e9, Points: 3}},
+			Specs:      []SpecAxis{{Name: "gnss", NFMaxDB: 0.9, GTMinDB: 14, S11MaxDB: -10, S22MaxDB: -10}},
+			Substrates: []string{"ro4350", "fr4"},
+		},
+	}
+	if err := fromGo.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if fromJSON.Digest() != fromGo.Digest() {
+		t.Fatalf("JSON file and Go literal digest differently: %s vs %s",
+			fromJSON.Digest(), fromGo.Digest())
 	}
 }
 

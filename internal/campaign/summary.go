@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"gnsslna/internal/jsonl"
 	"gnsslna/internal/obs/replay"
 )
 
@@ -125,31 +126,19 @@ func (s *Summary) MarshalBytes() ([]byte, error) {
 	return append(raw, '\n'), nil
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file and
-// rename, mirroring the checkpoint discipline: a reader (or a kill) sees
-// either the previous complete file or the new complete file.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("campaign: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("campaign: %w", err)
-	}
-	return nil
-}
-
 // Write emits campaign.summary.json and RESULTS.md into dir, atomically.
 func (s *Summary) Write(dir string) error {
 	raw, err := s.MarshalBytes()
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, SummaryFile), raw); err != nil {
-		return err
+	if err := jsonl.WriteFileAtomic(filepath.Join(dir, SummaryFile), raw); err != nil {
+		return fmt.Errorf("campaign: %w", err)
 	}
-	return writeFileAtomic(filepath.Join(dir, ResultsFile), []byte(s.ResultsMarkdown()))
+	if err := jsonl.WriteFileAtomic(filepath.Join(dir, ResultsFile), []byte(s.ResultsMarkdown())); err != nil {
+		return fmt.Errorf("campaign: %w", err)
+	}
+	return nil
 }
 
 // fmtCell renders a metric for the markdown table: "-" when absent.

@@ -152,36 +152,3 @@ func (j *Journal) Close() error {
 	}
 	return j.err
 }
-
-// ReadJournal parses a JSONL journal stream back into records.
-func ReadJournal(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	var out []Record
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return out, fmt.Errorf("obs: journal line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("obs: read journal: %w", err)
-	}
-	return out, nil
-}
-
-// ReadJournalFile parses the JSONL journal at path.
-func ReadJournalFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: read journal: %w", err)
-	}
-	defer f.Close()
-	return ReadJournal(f)
-}

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gnsslna/internal/jsonl"
 )
 
 // TestRegistryConcurrent hammers one registry from many goroutines; run
@@ -128,7 +130,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := ReadJournalFile(path)
+	recs, err := jsonl.ReadFile[Record](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestHubRouting(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJournal(&buf)
+	recs, err := jsonl.Read[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,49 +4,20 @@
 // evaluation attribution, and run-to-run diffs. The cmd/obsreport CLI is a
 // thin shell over this package.
 //
-// Parsing degrades the same way the resilience checkpoints do: a journal
-// truncated by a crash mid-line (or otherwise corrupt) yields every complete
-// record plus a typed *TailError, so analytics still run on the valid
-// prefix.
+// Parsing degrades the way every durable file does (see internal/jsonl):
+// a journal truncated by a crash mid-line, or otherwise corrupt, yields
+// every complete record plus a *jsonl.TailError, so analytics still run on
+// the valid prefix.
 package replay
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
+	"gnsslna/internal/jsonl"
 	"gnsslna/internal/obs"
 )
-
-// TailError reports a journal whose tail could not be parsed — typically a
-// crash mid-append. Records before Line were parsed successfully and are
-// returned alongside the error.
-type TailError struct {
-	// Line is the 1-based line number of the first unparseable line.
-	Line int
-	// Err is the underlying parse error.
-	Err error
-}
-
-// Error implements error.
-func (e *TailError) Error() string {
-	return fmt.Sprintf("replay: journal tail corrupt at line %d: %v", e.Line, e.Err)
-}
-
-// Unwrap exposes the underlying parse error.
-func (e *TailError) Unwrap() error { return e.Err }
-
-// AsTailError unwraps err to a *TailError, if one is in the chain.
-func AsTailError(err error) (*TailError, bool) {
-	var te *TailError
-	if errors.As(err, &te) {
-		return te, true
-	}
-	return nil, false
-}
 
 // Run is one parsed journal.
 type Run struct {
@@ -56,37 +27,20 @@ type Run struct {
 
 // Parse reads a JSONL journal stream. On a corrupt or truncated tail it
 // returns the Run holding every record before the bad line together with a
-// *TailError; the Run is non-nil whenever any complete records were read.
+// *jsonl.TailError; the Run is non-nil whenever the stream could be read.
 func Parse(r io.Reader) (*Run, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	run := &Run{}
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec obs.Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return run, &TailError{Line: line, Err: err}
-		}
-		run.Records = append(run.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return run, &TailError{Line: line + 1, Err: err}
-	}
-	return run, nil
+	recs, err := jsonl.Read[obs.Record](r)
+	return &Run{Records: recs}, err
 }
 
 // ParseFile parses the JSONL journal at path (see Parse for tail handling).
 func ParseFile(path string) (*Run, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	recs, err := jsonl.ReadFile[obs.Record](path)
+	var te *jsonl.TailError
+	if err != nil && !errors.As(err, &te) {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
-	defer f.Close()
-	return Parse(f)
+	return &Run{Records: recs}, err
 }
 
 // FinalMetrics returns the flattened metrics snapshot from the last

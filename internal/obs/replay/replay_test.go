@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"errors"
 	"flag"
 	"math"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"gnsslna/internal/jsonl"
 	"gnsslna/internal/obs"
 )
 
@@ -41,9 +43,9 @@ func TestParseCompleteJournal(t *testing.T) {
 // checkpoints' corrupt-file handling.
 func TestParseTruncatedTail(t *testing.T) {
 	r, err := ParseFile(filepath.Join("testdata", "truncated.jsonl"))
-	te, ok := AsTailError(err)
-	if !ok {
-		t.Fatalf("err = %v, want *TailError", err)
+	var te *jsonl.TailError
+	if !errors.As(err, &te) {
+		t.Fatalf("err = %v, want *jsonl.TailError", err)
 	}
 	if te.Line != 2 {
 		t.Errorf("tail line = %d, want 2", te.Line)
@@ -65,8 +67,8 @@ not json at all
 {"seq":3,"event":"done","scope":"s","gen":1,"evals":2,"best":1,"t_ms":2,"wall_ms":2}
 `
 	r, err := Parse(strings.NewReader(in))
-	te, ok := AsTailError(err)
-	if !ok || te.Line != 2 {
+	var te *jsonl.TailError
+	if !errors.As(err, &te) || te.Line != 2 {
 		t.Fatalf("err = %v, want TailError at line 2", err)
 	}
 	if len(r.Records) != 1 {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"testing"
+
+	"gnsslna/internal/jsonl"
 )
 
 // collect is a minimal recording observer.
@@ -100,7 +102,7 @@ func TestAppendEpoch(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJournal(&buf)
+	recs, err := jsonl.Read[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

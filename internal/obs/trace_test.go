@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gnsslna/internal/jsonl"
 )
 
 // TestTracerConcurrentSpans allocates spans from many goroutines; run under
@@ -277,7 +279,7 @@ func TestJournalKeepsCallerTMs(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJournal(&buf)
+	recs, err := jsonl.Read[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +302,7 @@ func TestHubStampsTraceFields(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJournal(&buf)
+	recs, err := jsonl.Read[Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"gnsslna/internal/jsonl"
 	"gnsslna/internal/obs"
 )
 
@@ -132,7 +133,7 @@ func TestConcurrentHubObserveFromPool(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := obs.ReadJournal(&buf)
+	recs, err := jsonl.Read[obs.Record](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

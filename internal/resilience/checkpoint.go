@@ -1,10 +1,13 @@
 package resilience
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
+
+	"gnsslna/internal/jsonl"
 )
 
 // CheckpointRecord is one line of a JSONL checkpoint file, mirroring the
@@ -26,12 +29,12 @@ type CheckpointRecord struct {
 }
 
 // SaveCheckpoint appends one stage record to the JSONL checkpoint at path,
-// creating the file when missing. The write is atomic: the existing records
-// plus the new one are written to a temp file in the same directory, synced,
-// and renamed over path, so a crash at any instant leaves either the old
-// complete checkpoint or the new complete checkpoint — never a torn file.
-// An abandoned temp file from a killed write is ignored by readers (they
-// only open path) and overwritten by the next save.
+// creating the file when missing. The whole file is rewritten through
+// jsonl.WriteFileAtomic, so a crash at any instant leaves either the old
+// complete checkpoint or the new complete checkpoint, never a torn file. A
+// torn tail already in the file (a line that does not parse) is amputated
+// first, the way the job queue's WAL is on open, so the new record always
+// lands where RestoreCheckpoint can read it.
 func SaveCheckpoint(path, stage string, seed int64, quick bool, state any) error {
 	raw, err := json.Marshal(state)
 	if err != nil {
@@ -45,78 +48,45 @@ func SaveCheckpoint(path, stage string, seed int64, quick bool, state any) error
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("resilience: checkpoint %s: %w", stage, err)
 	}
+	// Over bytes in memory, Read can only fail with a *TailError.
+	var te *jsonl.TailError
+	if _, err := jsonl.Read[CheckpointRecord](bytes.NewReader(prev)); errors.As(err, &te) {
+		prev = prev[:te.Offset]
+	}
 	if len(prev) > 0 && prev[len(prev)-1] != '\n' {
-		// A pre-atomic writer could have left a torn tail; terminating it
-		// keeps the appended record on its own line (readers degrade on the
-		// torn line itself).
+		// A complete last record without its newline: terminate it so the
+		// new record starts its own line.
 		prev = append(prev, '\n')
 	}
-	buf := append(prev, line...)
-	buf = append(buf, '\n')
-
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("resilience: checkpoint %s: %w", stage, err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("resilience: checkpoint %s: %w", stage, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("resilience: checkpoint %s: %w", stage, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("resilience: checkpoint %s: %w", stage, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	buf := append(append(prev, line...), '\n')
+	if err := jsonl.WriteFileAtomic(path, buf); err != nil {
 		return fmt.Errorf("resilience: checkpoint %s: %w", stage, err)
 	}
 	return nil
 }
 
 // LoadCheckpoints parses every record of the checkpoint file at path. A
-// missing file yields no records and no error.
+// missing file yields no records and no error; a torn tail yields the
+// complete records before it plus a *jsonl.TailError.
 func LoadCheckpoints(path string) ([]CheckpointRecord, error) {
-	f, err := os.Open(path)
+	recs, err := jsonl.ReadFile[CheckpointRecord](path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("resilience: read checkpoint: %w", err)
+		return recs, fmt.Errorf("resilience: read checkpoint: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var out []CheckpointRecord
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec CheckpointRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return out, fmt.Errorf("resilience: checkpoint line %d: %w", line, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("resilience: read checkpoint: %w", err)
-	}
-	return out, nil
+	return recs, nil
 }
 
 // RestoreCheckpoint unmarshals the latest record of the given stage whose
-// seed and quick mode match into `into`, reporting whether one was found.
+// seed and quick mode match into `into`, reporting whether one was found. A
+// torn tail only hides the stages recorded in it: they restore as not found
+// and re-run.
 func RestoreCheckpoint(path, stage string, seed int64, quick bool, into any) (bool, error) {
 	recs, err := LoadCheckpoints(path)
-	if err != nil {
+	var te *jsonl.TailError
+	if err != nil && !errors.As(err, &te) {
 		return false, err
 	}
 	for i := len(recs) - 1; i >= 0; i-- {

@@ -92,9 +92,9 @@ func TestSaveCheckpointCrashBeforeRename(t *testing.T) {
 	}
 }
 
-// TestSaveCheckpointHealsTornTail proves that a torn tail left by a
-// pre-atomic append (no trailing newline, partial JSON) does not corrupt
-// records appended after it: the new record lands on its own line.
+// TestSaveCheckpointHealsTornTail proves that a torn tail left by a crashed
+// writer (no trailing newline, partial JSON) is amputated by the next save:
+// the file then holds only the new record, and it restores.
 func TestSaveCheckpointHealsTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stages.jsonl")
@@ -109,16 +109,38 @@ func TestSaveCheckpointHealsTornTail(t *testing.T) {
 		t.Fatalf("read: %v", err)
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want torn line + new record:\n%s", len(lines), data)
+	if len(lines) != 1 || !strings.HasPrefix(lines[0], `{"stage":"design"`) {
+		t.Fatalf("got %d lines, want only the new record:\n%s", len(lines), data)
 	}
 	var got stageState
 	ok, err := RestoreCheckpoint(path, "design", 1, false, &got)
-	// LoadCheckpoints stops at the torn first line, so the design record is
-	// unreachable — but crucially the save itself did not fuse the two into
-	// one garbage line. Both outcomes of the degradation contract hold.
-	if ok && got.X != 3 {
-		t.Fatalf("restored wrong state: %+v", got)
+	if err != nil || !ok || got.X != 3 {
+		t.Fatalf("RestoreCheckpoint = ok %v, %+v, err %v; want ok with X == 3", ok, got, err)
 	}
-	_ = err
+}
+
+// TestRestoreCheckpointUsesCompletePrefix: a torn tail hides only the stage
+// it was recording; the complete records before it still restore.
+func TestRestoreCheckpointUsesCompletePrefix(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "stages.jsonl")
+	if err := SaveCheckpoint(path, "extraction", 1, false, stageState{X: 1}); err != nil {
+		t.Fatalf("SaveCheckpoint: %v", err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"stage":"design","seed":1,"st`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var got stageState
+	if ok, err := RestoreCheckpoint(path, "extraction", 1, false, &got); err != nil || !ok || got.X != 1 {
+		t.Fatalf("complete stage: ok %v, %+v, err %v", ok, got, err)
+	}
+	if ok, err := RestoreCheckpoint(path, "design", 1, false, &got); err != nil || ok {
+		t.Fatalf("torn stage: ok %v, err %v; want not found, no error", ok, err)
+	}
 }

@@ -48,7 +48,7 @@ const (
 	StateQueued JobState = "queued"
 	// StateRunning: claimed by a worker.
 	StateRunning JobState = "running"
-	// StateSucceeded: terminal; the result artifact is readable.
+	// StateSucceeded: terminal; Job.Result holds the result document.
 	StateSucceeded JobState = "succeeded"
 	// StateFailed: terminal; the retry budget was exhausted or the failure
 	// was permanent.

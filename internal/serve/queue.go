@@ -3,11 +3,14 @@ package serve
 import (
 	"container/heap"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
+
+	"gnsslna/internal/jsonl"
 )
 
 // ErrQueueFull is returned by Submit when the queue is at depth and the new
@@ -51,7 +54,7 @@ type RecoveryReport struct {
 	// records, in segment order. Losses are bounded to unacknowledged
 	// appends: an acknowledged record was flushed before the client saw
 	// its job ID.
-	TailLosses []*TailError
+	TailLosses []*jsonl.TailError
 }
 
 // Queue is the durable job queue: every transition is journaled before it
@@ -369,9 +372,15 @@ func (q *Queue) finish(id string, to JobState, errMsg string, result []byte) (*J
 	return j.clone(), nil
 }
 
-// Complete marks a running job succeeded with its result document.
+// Complete marks a running job succeeded with its result document. The
+// queue keeps the result in the form the WAL restores it (compacted,
+// HTML-escaped JSON), so it reads back the same bytes after a restart.
 func (q *Queue) Complete(id string, result []byte) (*Job, error) {
-	return q.finish(id, StateSucceeded, "", result)
+	canon, err := json.Marshal(json.RawMessage(result))
+	if err != nil {
+		return nil, fmt.Errorf("serve: job %s result: %w", id, err)
+	}
+	return q.finish(id, StateSucceeded, "", canon)
 }
 
 // Fail marks a job failed (retries exhausted or permanent error).

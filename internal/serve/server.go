@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
@@ -217,18 +217,38 @@ type apiError struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
+// maxJobSpecBytes bounds a POST /jobs body. A spec is a handful of short
+// fields, and an accepted one is journaled in the WAL and held in memory,
+// so an unbounded body would let a single request bloat both.
+const maxJobSpecBytes = 64 << 10
+
+// decodeJobSpec reads the one JSON job spec a POST /jobs body may hold, at
+// most maxJobSpecBytes long, and validates it.
+func decodeJobSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxJobSpecBytes))
+	var spec JobSpec
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("bad job spec: %w", err)
+	}
+	// Read to the end, so an oversize body fails even when it starts with
+	// a valid spec.
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the spec")
+		}
+		return spec, fmt.Errorf("bad job spec: %w", err)
+	}
+	return spec, spec.Validate()
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "5")
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "draining"})
 		return
 	}
-	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
-		return
-	}
-	if err := spec.Validate(); err != nil {
+	spec, err := decodeJobSpec(w, r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
@@ -300,18 +320,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusConflict, apiError{Error: fmt.Sprintf("job %s is %s, not succeeded", id, j.State)})
 		return
 	}
-	data, err := s.store.ReadResult(id)
-	if err != nil {
-		if os.IsNotExist(err) && j.Result != nil {
-			// The journal carries the result even if the artifact vanished.
-			data = j.Result
-		} else if err != nil {
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-			return
-		}
-	}
+	// The WAL's succeeded record carries the result, and replay and
+	// compaction restore it, so the queue's copy is the only one.
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
+	_, _ = w.Write(j.Result)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -114,6 +114,56 @@ func TestServerSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestServerResultSurvivesRestart: the WAL's succeeded record is the only
+// copy of a result, so a restarted server must serve the bytes it served
+// before the restart, whether replay reads them from the plain journal or
+// from a compacted snapshot (MaxSegBytes 1 rotates after every append).
+func TestServerResultSurvivesRestart(t *testing.T) {
+	const doc = `{"gamma": -0.5, "note": "<&>"}`
+	getResult := func(url, id string) string {
+		t.Helper()
+		resp, err := http.Get(url + "/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatalf("GET result: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET result: %d %s", resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	for _, maxSeg := range []int64{0, 1} {
+		opts := Options{Dir: t.TempDir(), Workers: 1, Runner: echoRunner(doc),
+			Queue: QueueOptions{NoSync: true, MaxSegBytes: maxSeg}}
+		s1, err := New(opts)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		s1.Start()
+		ts1 := httptest.NewServer(s1.Handler())
+		_, j := postJob(t, ts1.URL, JobSpec{Type: TypeDesign, Quick: true})
+		if done := waitTerminal(t, s1.Queue(), j.ID); done.State != StateSucceeded {
+			t.Fatalf("state = %s, want succeeded", done.State)
+		}
+		before := getResult(ts1.URL, j.ID)
+		ts1.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		s1.Shutdown(ctx)
+		cancel()
+
+		_, ts2 := newTestServer(t, opts, nil)
+		if after := getResult(ts2.URL, j.ID); after != before {
+			t.Fatalf("MaxSegBytes %d: result after restart %q, before %q", maxSeg, after, before)
+		}
+		var got, want map[string]any
+		if json.Unmarshal([]byte(before), &got) != nil || json.Unmarshal([]byte(doc), &want) != nil ||
+			fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("served result %q is not the runner's document %q", before, doc)
+		}
+	}
+}
+
 func TestServerResultConflictBeforeDone(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
@@ -255,6 +305,30 @@ func TestServerBadSpec400(t *testing.T) {
 		t.Fatalf("non-JSON body: %d, want 400", resp.StatusCode)
 	}
 	resp.Body.Close()
+}
+
+// TestServerOversizeSpec400: a POST /jobs body over maxJobSpecBytes is
+// rejected before anything reaches the journal, also when it opens with a
+// valid spec, and so is trailing data after the spec.
+func TestServerOversizeSpec400(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1}, echoRunner(`{}`))
+	for name, body := range map[string]string{
+		"long tenant":   `{"type":"design","tenant":"` + strings.Repeat("t", maxJobSpecBytes) + `"}`,
+		"padded":        `{"type":"design"}` + strings.Repeat(" ", maxJobSpecBytes),
+		"trailing data": `{"type":"design"}{"type":"sweep"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: POST: %v", name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+	}
+	if n := len(s.Queue().List("")); n != 0 {
+		t.Fatalf("%d jobs queued from rejected bodies", n)
+	}
 }
 
 func TestServerHealthzDegradesToDraining(t *testing.T) {

@@ -7,9 +7,10 @@ import (
 )
 
 // Store is the filesystem artifact store: one directory per job holding its
-// resilience checkpoints, run journal and result document, plus a
-// dead-letter area quarantined jobs are moved into with everything they
-// wrote — the forensic record a poisoned job leaves behind.
+// resilience checkpoints, plus a dead-letter area quarantined jobs are moved
+// into with everything they wrote — the forensic record a poisoned job
+// leaves behind. Results are not stored here: the queue's WAL carries each
+// one in the job's succeeded record.
 type Store struct {
 	root string
 }
@@ -39,39 +40,6 @@ func (s *Store) JobDir(id string) (string, error) {
 		return "", fmt.Errorf("serve: job dir: %w", err)
 	}
 	return d, nil
-}
-
-// CheckpointPath names the job's resilience checkpoint file.
-func (s *Store) CheckpointPath(id string) (string, error) {
-	d, err := s.JobDir(id)
-	if err != nil {
-		return "", err
-	}
-	return filepath.Join(d, "checkpoint.jsonl"), nil
-}
-
-// WriteResult atomically persists the job's result document
-// (temp-file+rename, same discipline as the checkpoints).
-func (s *Store) WriteResult(id string, result []byte) error {
-	d, err := s.JobDir(id)
-	if err != nil {
-		return err
-	}
-	final := filepath.Join(d, "result.json")
-	tmp := final + ".tmp"
-	if err := os.WriteFile(tmp, result, 0o644); err != nil {
-		return fmt.Errorf("serve: write result: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: write result: %w", err)
-	}
-	return nil
-}
-
-// ReadResult returns the persisted result document.
-func (s *Store) ReadResult(id string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.jobsDir(), id, "result.json"))
 }
 
 // DeadLetterCount returns the number of quarantined jobs resting in the

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"gnsslna/internal/jsonl"
 	"gnsslna/internal/obs"
 	"gnsslna/internal/obs/replay"
 )
@@ -87,7 +89,8 @@ func loadChaosJournal(t *testing.T, path string) *replay.Run {
 	t.Helper()
 	r, err := replay.ParseFile(path)
 	if err != nil {
-		if _, ok := replay.AsTailError(err); ok && r != nil {
+		var te *jsonl.TailError
+		if errors.As(err, &te) {
 			return r
 		}
 		t.Fatalf("parse %s: %v", path, err)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -10,6 +9,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"gnsslna/internal/jsonl"
 )
 
 // walRecord is one line of the queue's write-ahead journal. Op "submit"
@@ -27,37 +28,6 @@ type walRecord struct {
 	Error   string          `json:"error,omitempty"`
 	Result  json.RawMessage `json:"result,omitempty"`
 	TMS     int64           `json:"t_ms,omitempty"`
-}
-
-// TailError reports a journal segment whose tail could not be parsed —
-// typically a crash mid-append or a truncated file. Records before Line
-// were recovered; the loss is bounded to the torn tail. It mirrors the
-// replay.TailError contract so queue recovery degrades exactly the way
-// journal analytics do.
-type TailError struct {
-	// Segment is the base name of the damaged segment file.
-	Segment string
-	// Line is the 1-based line number of the first unparseable line.
-	Line int
-	// Err is the underlying parse error.
-	Err error
-}
-
-// Error implements error.
-func (e *TailError) Error() string {
-	return fmt.Sprintf("serve: queue segment %s tail corrupt at line %d: %v", e.Segment, e.Line, e.Err)
-}
-
-// Unwrap exposes the underlying parse error.
-func (e *TailError) Unwrap() error { return e.Err }
-
-// AsTailError unwraps err to a *TailError, if one is in the chain.
-func AsTailError(err error) (*TailError, bool) {
-	var te *TailError
-	if errors.As(err, &te) {
-		return te, true
-	}
-	return nil, false
 }
 
 const (
@@ -104,8 +74,8 @@ type wal struct {
 
 // openWAL opens (creating if needed) the journal under dir and replays
 // every segment in ordinal order. Torn tails degrade: complete records are
-// returned along with the accumulated []*TailError naming each loss.
-func openWAL(dir string, maxSegBytes int64, noSync bool) (*wal, []walRecord, []*TailError, error) {
+// returned along with the accumulated []*jsonl.TailError naming each loss.
+func openWAL(dir string, maxSegBytes int64, noSync bool) (*wal, []walRecord, []*jsonl.TailError, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, nil, fmt.Errorf("serve: queue dir: %w", err)
 	}
@@ -125,16 +95,15 @@ func openWAL(dir string, maxSegBytes int64, noSync bool) (*wal, []walRecord, []*
 	sort.Ints(ordinals)
 
 	var recs []walRecord
-	var losses []*TailError
-	var activeGood int64
-	var activeTorn bool
-	for i, n := range ordinals {
-		segRecs, good, terr := readSegment(filepath.Join(dir, segName(n)))
-		if terr != nil {
-			losses = append(losses, terr)
-		}
-		if i == len(ordinals)-1 {
-			activeGood, activeTorn = good, terr != nil
+	var losses []*jsonl.TailError
+	var activeTail *jsonl.TailError
+	for _, n := range ordinals {
+		segRecs, err := jsonl.ReadFile[walRecord](filepath.Join(dir, segName(n)))
+		activeTail = nil // only the last segment's tail is cut off below
+		if errors.As(err, &activeTail) {
+			losses = append(losses, activeTail)
+		} else if err != nil {
+			return nil, nil, nil, fmt.Errorf("serve: queue segment: %w", err)
 		}
 		for _, r := range segRecs {
 			if r.Op == "snapshot" {
@@ -150,11 +119,11 @@ func openWAL(dir string, maxSegBytes int64, noSync bool) (*wal, []walRecord, []*
 		seg = ordinals[len(ordinals)-1]
 	}
 	path := filepath.Join(dir, segName(seg))
-	if activeTorn {
+	if activeTail != nil {
 		// Cut the torn tail off the active segment so the next append never
 		// fuses with it into one garbage line. The loss is already recorded;
 		// truncation just makes the on-disk bytes match what replay kept.
-		if err := os.Truncate(path, activeGood); err != nil {
+		if err := os.Truncate(path, activeTail.Offset); err != nil {
 			return nil, nil, nil, fmt.Errorf("serve: queue segment: %w", err)
 		}
 	}
@@ -195,37 +164,6 @@ func endsWithNewline(path string, size int64) bool {
 		return false
 	}
 	return b[0] == '\n'
-}
-
-// readSegment parses one JSONL segment, returning every complete record,
-// the byte length of the complete-record prefix, and a *TailError when the
-// tail is torn — never failing the whole recovery for a bounded tail loss.
-func readSegment(path string) ([]walRecord, int64, *TailError) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, &TailError{Segment: filepath.Base(path), Line: 0, Err: err}
-	}
-	var out []walRecord
-	var good int64
-	line := 0
-	for off := 0; off < len(data); {
-		line++
-		raw := data[off:]
-		next := len(data)
-		if nl := bytes.IndexByte(raw, '\n'); nl >= 0 {
-			raw = raw[:nl]
-			next = off + nl + 1
-		}
-		if len(bytes.TrimSpace(raw)) > 0 {
-			var rec walRecord
-			if err := json.Unmarshal(raw, &rec); err != nil {
-				return out, good, &TailError{Segment: filepath.Base(path), Line: line, Err: err}
-			}
-			out = append(out, rec)
-		}
-		off, good = next, int64(next)
-	}
-	return out, good, nil
 }
 
 // append writes one record durably. The append is acknowledged only after
@@ -270,43 +208,19 @@ func (w *wal) rotate(keep []*Job) error {
 	}
 	next := w.seg + 1
 	final := filepath.Join(w.dir, segName(next))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("serve: rotate: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	write := func(rec walRecord) error {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		line = append(line, '\n')
-		_, err = bw.Write(line)
-		return err
-	}
-	werr := write(walRecord{Op: "snapshot"})
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	err := enc.Encode(walRecord{Op: "snapshot"})
 	for _, j := range keep {
-		if werr != nil {
+		if err != nil {
 			break
 		}
-		werr = write(walRecord{Op: "submit", Job: j})
+		err = enc.Encode(walRecord{Op: "submit", Job: j})
 	}
-	if werr == nil {
-		werr = bw.Flush()
+	if err == nil {
+		err = jsonl.WriteFileAtomic(final, buf.Bytes())
 	}
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("serve: rotate: %w", werr)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err != nil {
 		return fmt.Errorf("serve: rotate: %w", err)
 	}
 

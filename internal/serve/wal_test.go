@@ -2,10 +2,13 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gnsslna/internal/jsonl"
 )
 
 func mustSubmit(t *testing.T, q *Queue, spec JobSpec) *Job {
@@ -22,8 +25,8 @@ func quickSpec(tenant string) JobSpec {
 }
 
 // TestWALTruncatedTailRecoversPrefix is the queue-reader half of the
-// replay.TailError contract: a segment ending in a partial record yields
-// every complete record plus a typed *TailError naming the loss.
+// jsonl.TailError contract: a segment ending in a partial record yields
+// every complete record plus a typed *jsonl.TailError naming the loss.
 func TestWALTruncatedTailRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	q, err := OpenQueue(dir, QueueOptions{})
@@ -66,11 +69,12 @@ func TestWALTruncatedTailRecoversPrefix(t *testing.T) {
 		t.Fatalf("got %d tail losses, want exactly 1: %v", len(rep.TailLosses), rep.TailLosses)
 	}
 	loss := rep.TailLosses[0]
-	if loss.Segment != segName(1) || loss.Line != 4 {
-		t.Fatalf("tail loss = segment %q line %d, want %q line 4", loss.Segment, loss.Line, segName(1))
+	if loss.File != seg || loss.Line != 4 {
+		t.Fatalf("tail loss = segment %q line %d, want %q line 4", loss.File, loss.Line, seg)
 	}
-	if _, ok := AsTailError(loss); !ok {
-		t.Fatal("loss does not unwrap as *TailError")
+	var te *jsonl.TailError
+	if !errors.As(loss, &te) {
+		t.Fatal("loss does not unwrap as *jsonl.TailError")
 	}
 }
 
