@@ -38,11 +38,12 @@ race:
 
 # verify-invariants runs the correctness harness: the physics-invariant
 # sweeps and differential cross-checks of internal/verify, the regression
-# tests for every bug the harness has found so far, and internal/core's
-# band-vs-per-point and allocation fences (-count=1 defeats the cache so
-# the sweeps really execute).
+# tests for every bug the harness has found so far, the exactness fences of
+# the device and noise layers the band engine rides, and internal/core's
+# allocation and memo fences (-count=1 defeats the cache so the sweeps
+# really execute).
 verify-invariants:
-	$(GO) test -count=1 ./internal/verify/ ./internal/twoport/ ./internal/mna/ ./internal/touchstone/ ./internal/units/ ./internal/mathx/ ./internal/rfpassive/ ./internal/core/
+	$(GO) test -count=1 ./internal/verify/ ./internal/twoport/ ./internal/mna/ ./internal/touchstone/ ./internal/units/ ./internal/mathx/ ./internal/rfpassive/ ./internal/device/ ./internal/noise/ ./internal/core/
 
 # fuzz-smoke gives each native fuzz target a bounded budget (FUZZTIME per
 # target) on top of the committed seed corpora. Go allows one fuzz target

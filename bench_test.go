@@ -238,8 +238,9 @@ func BenchmarkTwoStageObjective(b *testing.B) {
 }
 
 func BenchmarkTwoStageMetricsAtLoop(b *testing.B) {
-	// The per-point reference for the same candidate: build both stages,
-	// then TwoStage.MetricsAt at every frequency of both grids.
+	// The same candidate graded point by point: build both stages, then
+	// TwoStage.MetricsAt (a one-point view of the band engine) at every
+	// frequency of both grids.
 	builder, d1, d2, pts, stab := twoStageBenchInputs()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -48,6 +48,10 @@ func DesignBounds() (lo, hi []float64) {
 
 // Amplifier is a fully materialized preamplifier: the device at its bias
 // with its input/output networks, ready for frequency-domain evaluation.
+// Treat its chains as immutable once built: band workspaces (pooled ones
+// included) key their compiled Input/Output chains by the *Amplifier, so a
+// chain edited in place would be evaluated stale. Build a new amplifier
+// instead.
 type Amplifier struct {
 	// Dev is the transistor (with LDegen already folded into its common
 	// lead).
@@ -164,6 +168,26 @@ func (b *Builder) geometry() (w50, cj float64, err error) {
 	return g.w50, g.cj, g.err
 }
 
+// biasTee is the damped bias feed both amplifier variants hang off a 50-ohm
+// line: the branch is L(feed) -> R(damp) -> C(bypass) -> load (the gate
+// bias resistor or the drain rail). In band the 68 nH feed isolates the
+// branch; below the band the damping resistor loads the port and
+// stabilizes the stage.
+func (b *Builder) biasTee(w50, cj, dampR, loadR float64) rfpassive.Tee {
+	return rfpassive.Tee{
+		Sub:       b.Sub,
+		WMain:     w50,
+		WBranch:   w50 / 3,
+		CJunction: cj,
+		Branch: rfpassive.Chain{
+			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
+			rfpassive.NewChipResistor(dampR, rfpassive.Series),
+			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
+		},
+		BranchLoad: complex(loadR, 0),
+	}
+}
+
 // Build materializes the amplifier for a design vector.
 func (b *Builder) Build(d Design) (*Amplifier, error) {
 	if b.Dev == nil {
@@ -177,48 +201,21 @@ func (b *Builder) Build(d Design) (*Amplifier, error) {
 	dev := *b.Dev
 	dev.Ext.Ls += d.LDegen
 
-	// Input: DC block, series matching inductor, gate bias tee. The feed
-	// branch is L(feed) -> R(damp) -> C(bypass) -> bias resistor: in band
-	// the 68 nH feed isolates; below the band the damping resistor loads
-	// the gate and stabilizes the stage.
-	inputTee := rfpassive.Tee{
-		Sub:       b.Sub,
-		WMain:     w50,
-		WBranch:   w50 / 3,
-		CJunction: cj,
-		Branch: rfpassive.Chain{
-			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(b.GateDampR, rfpassive.Series),
-			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
-		},
-		BranchLoad: complex(b.GateBiasR, 0),
-	}
+	// Input: DC block, series matching inductor, gate bias tee.
 	input := rfpassive.Chain{
 		rfpassive.DCBlock(100e-12),
 		b.inductor(d.LIn, rfpassive.Series),
-		inputTee,
+		b.biasTee(w50, cj, b.GateDampR, b.GateBiasR),
 	}
 
 	// Output: drain bias tee (same damped-feed structure), series
-	// inductor, shunt capacitor, DC block.
-	outputTee := rfpassive.Tee{
-		Sub:       b.Sub,
-		WMain:     w50,
-		WBranch:   w50 / 3,
-		CJunction: cj,
-		Branch: rfpassive.Chain{
-			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(b.DrainDampR, rfpassive.Series),
-			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
-		},
-		BranchLoad: complex(b.DrainRailR, 0),
-	}
-	// The R+L shunt stabilizer loads the drain below the band (where the
-	// device gain peaks) and is lifted out of the way in band by its
-	// inductor; being on the output it costs gain margin, not noise.
+	// inductor, shunt capacitor, DC block. The R+L shunt stabilizer loads
+	// the drain below the band (where the device gain peaks) and is lifted
+	// out of the way in band by its inductor; being on the output it costs
+	// gain margin, not noise.
 	output := rfpassive.Chain{
 		rfpassive.StabilizerRL(b.StabR, b.StabL),
-		outputTee,
+		b.biasTee(w50, cj, b.DrainDampR, b.DrainRailR),
 		b.inductor(d.LOut, rfpassive.Series),
 		b.capacitor(d.COut, rfpassive.Shunt),
 		rfpassive.DCBlock(100e-12),
@@ -233,13 +230,18 @@ func (b *Builder) Build(d Design) (*Amplifier, error) {
 	}, nil
 }
 
-// NoisyAt returns the complete amplifier as a noisy two-port at f.
+// NoisyAt returns the complete amplifier as a noisy two-port at f: a
+// one-point view of the band engine (see band.go). The element-level
+// composition Input.Noisy(f)·Dev.NoisyAt(Bias, f)·Output.Noisy(f) is the
+// reference internal/verify checks the engine against.
 func (a *Amplifier) NoisyAt(f float64) (noise.TwoPort, error) {
-	devTP, err := a.Dev.NoisyAt(a.Bias, f)
-	if err != nil {
+	freqs := [1]float64{f}
+	ws := getBandWorkspace()
+	defer putBandWorkspace(ws)
+	if err := ws.noisyBandInto(a, freqs[:]); err != nil {
 		return noise.TwoPort{}, err
 	}
-	return a.Input.Noisy(f).Cascade(devTP).Cascade(a.Output.Noisy(f)), nil
+	return ws.noisyAt(0), nil
 }
 
 // SAt returns the amplifier S-parameters at f referenced to z0.
@@ -267,9 +269,8 @@ type PointMetrics struct {
 	K, Mu float64
 }
 
-// MetricsAt evaluates the amplifier at one frequency — the per-point view
-// of the band engine (see band.go): both paths reduce a noisy two-port to
-// PointMetrics with the same pointMetricsOf.
+// MetricsAt evaluates the amplifier at one frequency: a one-point view of
+// the band engine, reduced by the same pointMetricsOf as MetricsBandInto.
 func (a *Amplifier) MetricsAt(f, z0 float64) (PointMetrics, error) {
 	tp, err := a.NoisyAt(f)
 	if err != nil {
@@ -279,7 +280,7 @@ func (a *Amplifier) MetricsAt(f, z0 float64) (PointMetrics, error) {
 }
 
 // pointMetricsOf reduces the amplifier's noisy two-port at f to its metric
-// summary; the single definition both the per-point and batch paths share.
+// summary.
 func pointMetricsOf(tp noise.TwoPort, f, z0 float64) (PointMetrics, error) {
 	s, err := tp.S(z0)
 	if err != nil {
@@ -298,27 +299,6 @@ func pointMetricsOf(tp noise.TwoPort, f, z0 float64) (PointMetrics, error) {
 		m.FminDB = p.FminDB()
 	}
 	return m, nil
-}
-
-// Sweep evaluates the amplifier over a frequency list, riding the band
-// engine. On a band-path error it falls back to the per-point loop so the
-// error carries the historic per-frequency wrapping.
-func (a *Amplifier) Sweep(freqs []float64, z0 float64) ([]PointMetrics, error) {
-	out := make([]PointMetrics, len(freqs))
-	ws := getBandWorkspace()
-	err := a.MetricsBandInto(ws, out, freqs, z0)
-	putBandWorkspace(ws)
-	if err == nil {
-		return out, nil
-	}
-	for i, f := range freqs {
-		m, err := a.MetricsAt(f, z0)
-		if err != nil {
-			return nil, fmt.Errorf("core: sweep at %g Hz: %w", f, err)
-		}
-		out[i] = m
-	}
-	return out, nil
 }
 
 // GroupDelay returns the transmission group delay -d(phase S21)/d(omega) in

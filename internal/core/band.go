@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -14,11 +15,14 @@ import (
 // structure-of-arrays slabs: the matching networks are compiled once
 // (rfpassive.CompiledChain), the device's bias-dependent small-signal model
 // is hoisted out of the grid loop (device.BandState), and the per-point
-// arithmetic that remains is exactly the per-point path's, so every number
-// is equal (==) to what MetricsAt produces (enforced by internal/verify).
-// Sweep, Network, GroupDelay, Designer.Evaluate and the two-stage search
-// (TwoStage.GradeBand) all ride this path; the per-point methods remain as
-// thin views and references.
+// arithmetic that remains is exactly that of the element-level
+// definitions, so every number is equal (==) to the composition
+// Input.Noisy(f)·Dev.NoisyAt(Bias, f)·Output.Noisy(f) (enforced by
+// internal/verify). It is
+// the only amplifier evaluation path: NoisyAt, SAt and MetricsAt are
+// one-point views of it, and Designer.Evaluate, Network, GroupDelay and the
+// two-stage search (TwoStage.GradeBand) run it over whole grids. A failure
+// names the grid frequency it occurred at (see sweepError).
 
 // BandWorkspace holds the reusable slabs of one band evaluation. A zero
 // workspace is ready to use; reusing one across calls with the same grid
@@ -64,12 +68,23 @@ func (ws *BandWorkspace) noisyBandInto(a *Amplifier, freqs []float64) error {
 	ws.in = ws.in[:n]
 	ws.out = ws.out[:n]
 	ws.dev = ws.dev[:n]
-	if err := a.Dev.NoisyBandInto(ws.dev, a.Bias, freqs); err != nil {
-		return err
+	st := a.Dev.BandStateAt(a.Bias)
+	for i, f := range freqs {
+		tp, err := a.Dev.NoisyAtState(st, a.Bias, f)
+		if err != nil {
+			return sweepError(f, err)
+		}
+		ws.dev[i] = tp
 	}
 	ws.ccIn.NoisyBand(ws.in, freqs)
 	ws.ccOut.NoisyBand(ws.out, freqs)
 	return nil
+}
+
+// sweepError wraps a band-engine failure with the grid frequency it
+// occurred at.
+func sweepError(f float64, err error) error {
+	return fmt.Errorf("core: sweep at %g Hz: %w", f, err)
 }
 
 // noisyAt cascades the sections filled by noisyBandInto at grid point i, in
@@ -88,8 +103,13 @@ func (ws *BandWorkspace) abcdBandInto(a *Amplifier, freqs []float64) error {
 		ws.abcd = make([]twoport.Mat2, 3*n)
 	}
 	ws.abcd = ws.abcd[:3*n]
-	if err := a.Dev.ABCDBandInto(ws.abcd[n:2*n], a.Bias, freqs); err != nil {
-		return err
+	st := a.Dev.BandStateAt(a.Bias)
+	for i, f := range freqs {
+		m, err := a.Dev.ABCDAtState(st, f)
+		if err != nil {
+			return sweepError(f, err)
+		}
+		ws.abcd[n+i] = m
 	}
 	ws.ccIn.ABCDBand(ws.abcd[:n], freqs)
 	ws.ccOut.ABCDBand(ws.abcd[2*n:], freqs)
@@ -104,8 +124,7 @@ func (ws *BandWorkspace) abcdAt(i int) twoport.Mat2 {
 }
 
 // MetricsBandInto evaluates the amplifier at every frequency of the grid,
-// writing into dst (same length as freqs). Each point equals (==) the
-// MetricsAt result at that frequency.
+// writing into dst (same length as freqs).
 func (a *Amplifier) MetricsBandInto(ws *BandWorkspace, dst []PointMetrics, freqs []float64, z0 float64) error {
 	if err := ws.noisyBandInto(a, freqs); err != nil {
 		return err
@@ -113,7 +132,7 @@ func (a *Amplifier) MetricsBandInto(ws *BandWorkspace, dst []PointMetrics, freqs
 	for i, f := range freqs {
 		m, err := pointMetricsOf(ws.noisyAt(i), f, z0)
 		if err != nil {
-			return err
+			return sweepError(f, err)
 		}
 		dst[i] = m
 	}
@@ -133,16 +152,15 @@ func (a *Amplifier) MetricsBand(freqs []float64, z0 float64) ([]PointMetrics, er
 }
 
 // sBandInto writes the amplifier S-parameters at every grid frequency into
-// dst, riding the same batch path as MetricsBandInto (each point equals the
-// per-point SAt).
+// dst, riding the same batch path as MetricsBandInto.
 func (a *Amplifier) sBandInto(ws *BandWorkspace, dst []twoport.Mat2, freqs []float64, z0 float64) error {
 	if err := ws.noisyBandInto(a, freqs); err != nil {
 		return err
 	}
-	for i := range freqs {
+	for i, f := range freqs {
 		s, err := ws.noisyAt(i).S(z0)
 		if err != nil {
-			return err
+			return sweepError(f, err)
 		}
 		dst[i] = s
 	}
@@ -154,15 +172,15 @@ func (a *Amplifier) sBandInto(ws *BandWorkspace, dst []twoport.Mat2, freqs []flo
 // matrices, so the noise-correlation congruences — most of the full path's
 // cost — are skipped. device.EmbedABCD and the compiled chains replay the
 // full path's A-side arithmetic exactly, so each mu equals (==) the
-// MetricsAt Mu at that frequency.
+// MetricsBandInto Mu at that frequency.
 func (a *Amplifier) muBandInto(ws *BandWorkspace, dst []float64, freqs []float64, z0 float64) error {
 	if err := ws.abcdBandInto(a, freqs); err != nil {
 		return err
 	}
-	for i := range freqs {
+	for i, f := range freqs {
 		s, err := twoport.ABCDToS(ws.abcdAt(i), z0)
 		if err != nil {
-			return err
+			return sweepError(f, err)
 		}
 		dst[i] = twoport.MuSource(s)
 	}
@@ -172,12 +190,13 @@ func (a *Amplifier) muBandInto(ws *BandWorkspace, dst []float64, freqs []float64
 // GradeBand grades the cascade on the band engine, one workspace per stage:
 // the worst noise figure and minimum transducer gain over the in-band grid
 // pts, and the stability margin min(mu) - 1 over both pts and the
-// stability grid stab. Each value equals (==) the one a loop of per-point
-// MetricsAt calls over the same grids produces (enforced by
-// internal/verify), and it fails exactly when that loop fails. In band
-// each stage's in·dev·out is cascaded as in NoisyAt; the stability grid
-// only needs mu, so it rides the A-only chain matrices. With warmed
-// workspaces the grade is allocation-free.
+// stability grid stab. Each value equals (==) the one the element-level
+// reference — each stage composed as Input.Noisy·Dev.NoisyAt·Output.Noisy,
+// the stages cascaded, reduced point by point over both grids — produces
+// (enforced by internal/verify), and it fails exactly when that reference
+// fails. In band each stage's in·dev·out is cascaded as in NoisyAt; the
+// stability grid only needs mu, so it rides the A-only chain matrices. With
+// warmed workspaces the grade is allocation-free.
 func (t *TwoStage) GradeBand(ws1, ws2 *BandWorkspace, pts, stab []float64, z0 float64) (nfDB, gtDB, margin float64, err error) {
 	nfDB, gtDB, margin = math.Inf(-1), math.Inf(1), math.Inf(1)
 	if err := ws1.noisyBandInto(t.First, pts); err != nil {

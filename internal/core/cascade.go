@@ -30,7 +30,8 @@ func (b *Builder) BuildTwoStage(d1, d2 Design) (*TwoStage, error) {
 	return &TwoStage{First: first, Second: second}, nil
 }
 
-// NoisyAt returns the cascade as a noisy two-port at f.
+// NoisyAt returns the cascade as a noisy two-port at f, from the one-point
+// views of both stages.
 func (t *TwoStage) NoisyAt(f float64) (noise.TwoPort, error) {
 	a, err := t.First.NoisyAt(f)
 	if err != nil {
@@ -43,8 +44,8 @@ func (t *TwoStage) NoisyAt(f float64) (noise.TwoPort, error) {
 	return a.Cascade(b), nil
 }
 
-// MetricsAt evaluates the cascade at one frequency: the per-point
-// reference that GradeBand must reproduce (==).
+// MetricsAt evaluates the cascade at one frequency. Like GradeBand, it
+// equals (==) the element-level reference internal/verify composes.
 func (t *TwoStage) MetricsAt(f, z0 float64) (PointMetrics, error) {
 	tp, err := t.NoisyAt(f)
 	if err != nil {

@@ -212,11 +212,14 @@ func (d *Designer) Evaluate(x Design) (Evaluation, error) {
 	return ev, err
 }
 
-// evaluateAmp aggregates the band objectives of an already-built amplifier.
+// evaluateAmp aggregates the band objectives of an already-built amplifier,
+// grading the in-band and stability grids on one pooled band workspace.
 func (d *Designer) evaluateAmp(amp *Amplifier, x Design) (Evaluation, error) {
 	grid, stabGrid := d.sweepGrids()
-	pts, err := amp.Sweep(grid, d.z0())
-	if err != nil {
+	ws := getBandWorkspace()
+	defer putBandWorkspace(ws)
+	pts := make([]PointMetrics, len(grid))
+	if err := amp.MetricsBandInto(ws, pts, grid, d.z0()); err != nil {
 		return Evaluation{}, err
 	}
 	ev := Evaluation{
@@ -240,13 +243,9 @@ func (d *Designer) evaluateAmp(amp *Amplifier, x Design) (Evaluation, error) {
 	if len(stabGrid) > 0 {
 		// The wide stability scan only consumes Mu, which depends on the
 		// chain matrices alone: the A-only band path skips all the
-		// noise-correlation work. Its values equal (==) the per-point Mu,
-		// and it fails exactly where the per-point path would.
+		// noise-correlation work.
 		mus := make([]float64, len(stabGrid))
-		ws := getBandWorkspace()
-		err := amp.muBandInto(ws, mus, stabGrid, d.z0())
-		putBandWorkspace(ws)
-		if err != nil {
+		if err := amp.muBandInto(ws, mus, stabGrid, d.z0()); err != nil {
 			return Evaluation{}, err
 		}
 		for _, mu := range mus {

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gnsslna/internal/device"
 	"gnsslna/internal/optim"
+	"gnsslna/internal/twoport"
 )
 
 func fastDesigner() *Designer {
@@ -199,5 +203,49 @@ func TestCornersBoundYield(t *testing.T) {
 		if len(c.Label) != 5 {
 			t.Errorf("bad corner label %q", c.Label)
 		}
+	}
+}
+
+// deadDC is a DC model with no drain current anywhere; it counts its Ids
+// calls so a test can tell how many bias solves an evaluation ran.
+type deadDC struct{ calls int }
+
+func (*deadDC) Name() string                   { return "dead" }
+func (m *deadDC) Ids(vgs, vds float64) float64 { m.calls++; return 0 }
+func (*deadDC) Params() []float64              { return nil }
+func (*deadDC) SetParams([]float64) error      { return nil }
+func (*deadDC) ParamNames() []string           { return nil }
+func (*deadDC) Bounds() (lo, hi []float64)     { return nil, nil }
+
+// TestEvaluateSingularNetworkNamesFrequency drives the band engine into a
+// singular embedding — no transconductance and no feedback capacitance make
+// y21 = 0 — and demands Evaluate fail with an error naming the first grid
+// frequency, after exactly one bias solve: there is no per-point re-run of
+// a failed band evaluation.
+func TestEvaluateSingularNetworkNamesFrequency(t *testing.T) {
+	dc := &deadDC{}
+	dev := device.Golden()
+	dev.DC = dc
+	dev.Caps.Cgd0 = 0
+	d := NewDesigner(NewBuilder(dev))
+	d.Memo = nil
+	bias := device.Bias{Vgs: referenceDesign.Vgs, Vds: referenceDesign.Vds}
+	dev.BandStateAt(bias)
+	perSolve := dc.calls
+	dc.calls = 0
+
+	_, err := d.Evaluate(referenceDesign)
+	if err == nil {
+		t.Fatal("Evaluate accepted a device with y21 = 0")
+	}
+	if !errors.Is(err, twoport.ErrSingularNetwork) {
+		t.Errorf("error does not wrap ErrSingularNetwork: %v", err)
+	}
+	pts, _ := d.SweepGrids()
+	if want := fmt.Sprintf("core: sweep at %g Hz: ", pts[0]); !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not name the failing frequency (want prefix %q)", err, want)
+	}
+	if dc.calls != perSolve {
+		t.Errorf("failed evaluation ran %d DC evaluations, want %d (one bias solve)", dc.calls, perSolve)
 	}
 }

@@ -66,7 +66,7 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 	if b.Dev == nil {
 		return nil, fmt.Errorf("core: builder has no device")
 	}
-	w50, err := b.Sub.WidthForZ0(50)
+	w50, cj, err := b.geometry()
 	if err != nil {
 		return nil, fmt.Errorf("core: substrate: %w", err)
 	}
@@ -83,38 +83,16 @@ func (b *Builder) BuildDistributed(d DistributedDesign) (*Amplifier, error) {
 	dev := *b.Dev
 	dev.Ext.Ls += d.LDegen
 
-	inputTee := rfpassive.Tee{
-		Sub:     b.Sub,
-		WMain:   w50,
-		WBranch: w50 / 3,
-		Branch: rfpassive.Chain{
-			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(b.GateDampR, rfpassive.Series),
-			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
-		},
-		BranchLoad: complex(b.GateBiasR, 0),
-	}
 	input := rfpassive.Chain{
 		rfpassive.DCBlock(100e-12),
 		rfpassive.Line{Sub: b.Sub, W: wSeries, Len: d.LenIn, Dispersion: true},
 		openStub(b.Sub, w50, wStub, d.StubIn),
-		inputTee,
+		b.biasTee(w50, cj, b.GateDampR, b.GateBiasR),
 	}
 
-	outputTee := rfpassive.Tee{
-		Sub:     b.Sub,
-		WMain:   w50,
-		WBranch: w50 / 3,
-		Branch: rfpassive.Chain{
-			rfpassive.NewChipInductor(68e-9, rfpassive.Series),
-			rfpassive.NewChipResistor(b.DrainDampR, rfpassive.Series),
-			rfpassive.NewChipCapacitor(100e-12, rfpassive.Shunt),
-		},
-		BranchLoad: complex(b.DrainRailR, 0),
-	}
 	output := rfpassive.Chain{
 		rfpassive.StabilizerRL(b.StabR, b.StabL),
-		outputTee,
+		b.biasTee(w50, cj, b.DrainDampR, b.DrainRailR),
 		rfpassive.Line{Sub: b.Sub, W: wSeries, Len: d.LenOut, Dispersion: true},
 		openStub(b.Sub, w50, wStub, d.StubOut),
 		rfpassive.DCBlock(100e-12),
@@ -183,7 +161,7 @@ func (d *Designer) OptimizeDistributed(opts *optim.AttainOptions) (DistributedRe
 // QuarterWaveLength returns the quarter wavelength on the builder substrate
 // at f for a 50-ohm line, a convenience for reports.
 func (b *Builder) QuarterWaveLength(f float64) (float64, error) {
-	w50, err := b.Sub.WidthForZ0(50)
+	w50, _, err := b.geometry()
 	if err != nil {
 		return 0, err
 	}

@@ -236,13 +236,16 @@ func (m *EvalMemo) Stats() MemoStats {
 
 // memoCtx is the comparable snapshot of everything (besides the design
 // vector) an evaluation depends on. Comparing snapshots is how the cached
-// context digest is invalidated without re-hashing per call; the device is
-// keyed by pointer here (swap in a fresh *PHEMT to change parameters, as
-// the variant constructors do) while its full content goes into the digest.
+// context digest is invalidated without re-hashing per call. The device is
+// snapshotted by value, so mutating the builder's *PHEMT in place (as
+// extraction does to the devices it fits) changes the snapshot and
+// re-digests the context. Its DC model is an interface holding a pointer,
+// which the snapshot compares by identity: swap in a fresh model rather
+// than calling SetParams on one a designer holds.
 type memoCtx struct {
 	spec Spec
 	z0   float64
-	dev  *device.PHEMT
+	dev  device.PHEMT
 	sub  rfpassive.Substrate
 
 	gateBiasR, drainRailR, gateDampR, drainDampR, stabR, stabL float64
@@ -266,7 +269,7 @@ func (d *Designer) snapshotCtx() (memoCtx, bool) {
 	return memoCtx{
 		spec:       d.Spec,
 		z0:         d.z0(),
-		dev:        b.Dev,
+		dev:        *b.Dev,
 		sub:        b.Sub,
 		gateBiasR:  b.GateBiasR,
 		drainRailR: b.DrainRailR,
@@ -329,8 +332,8 @@ func fnvBool(h uint64, v bool) uint64 {
 	return fnvByte(h, 0)
 }
 
-// hashCtx digests the full evaluation context content. Unlike the snapshot,
-// the device is hashed by value — name, DC parameter vector, capacitance
+// hashCtx digests the full evaluation context content. The device is
+// hashed by content — name, DC model kind and parameter vector, capacitance
 // model, intrinsics, extrinsics and noise temperatures — so two builders
 // holding identical device content share memo entries.
 func hashCtx(c memoCtx) uint64 {
@@ -362,8 +365,9 @@ func hashCtx(c memoCtx) uint64 {
 	h = fnvF64(h, c.stabL)
 	h = fnvBool(h, c.ideal)
 	// Device variant.
-	dev := c.dev
+	dev := &c.dev
 	h = fnvStr(h, dev.Name)
+	h = fnvStr(h, dev.DC.Name())
 	for _, p := range dev.DC.Params() {
 		h = fnvF64(h, p)
 	}

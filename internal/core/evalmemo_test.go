@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -124,5 +126,133 @@ func TestSweepGridsPublicCopyDoesNotAlias(t *testing.T) {
 		if f <= 0 {
 			t.Fatalf("stability grid corrupted: %v", stab)
 		}
+	}
+}
+
+// TestEvalMemoSeesInPlaceDeviceMutation is the stale-answer regression: the
+// context snapshot once keyed the device by pointer, so mutating the
+// builder's device in place after the design was memoized (extraction
+// mutates the devices it fits) returned the old device's evaluation. The
+// memoized designer must agree with a memo-free evaluation of the mutated
+// device.
+func TestEvalMemoSeesInPlaceDeviceMutation(t *testing.T) {
+	dev := device.Golden()
+	d := NewDesigner(NewBuilder(dev))
+	d.Memo = NewEvalMemo(64)
+	// Three passes: missed, admitted by the doorkeeper, then a hit.
+	for i := 0; i < 3; i++ {
+		if _, err := d.Evaluate(referenceDesign); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := d.Memo.Stats(); st.Hits != 1 {
+		t.Fatalf("fixture: memo hits = %d after three passes, want 1", st.Hits)
+	}
+	dev.Ri *= 4
+	dev.Noise.Td0 *= 3
+	got, err := d.Evaluate(referenceDesign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := &Designer{Builder: NewBuilder(dev), Spec: d.Spec, Z0: d.Z0}
+	want, err := fresh.Evaluate(referenceDesign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.WorstNFdB != want.WorstNFdB || got.MinGTdB != want.MinGTdB || got.StabMargin != want.StabMargin {
+		t.Fatalf("memo returned a stale evaluation after in-place device mutation: worst NF %.4f dB, fresh %.4f dB",
+			got.WorstNFdB, want.WorstNFdB)
+	}
+}
+
+// renamedDC is a DC model whose parameters equal the wrapped model's but
+// whose kind differs: only the digest's model name can tell them apart.
+type renamedDC struct{ *device.Angelov }
+
+func (renamedDC) Name() string { return "renamed-Angelov" }
+
+// TestMemoKeyCoversEveryField walks every field the evaluation depends on — Spec, the
+// substrate, the Builder scalars, the device and its capacitance,
+// extrinsic and noise models, the DC model's kind and parameters — with
+// reflect, perturbs each one and demands the memo context digest change. A
+// field added to any of these types without being hashed fails here.
+func TestMemoKeyCoversEveryField(t *testing.T) {
+	d := NewDesigner(NewBuilder(device.Golden()))
+	b := d.Builder
+	base, ok := d.ctxHash()
+	if !ok {
+		t.Fatal("no context digest for a complete designer")
+	}
+	// changes perturbs one leaf, demands a new digest, and restores it.
+	changes := func(label string, leaf reflect.Value) {
+		t.Helper()
+		old := reflect.New(leaf.Type()).Elem()
+		old.Set(leaf)
+		switch leaf.Kind() {
+		case reflect.Float64:
+			leaf.SetFloat(leaf.Float()*1.5 + 0.125)
+		case reflect.Int:
+			leaf.SetInt(leaf.Int() + 1)
+		case reflect.Bool:
+			leaf.SetBool(!leaf.Bool())
+		case reflect.String:
+			leaf.SetString(leaf.String() + "'")
+		default:
+			t.Fatalf("%s: field kind %s has no perturbation; hash it and extend this test", label, leaf.Kind())
+		}
+		if h, _ := d.ctxHash(); h == base {
+			t.Errorf("%s: perturbing it leaves the memo context digest unchanged", label)
+		}
+		leaf.Set(old)
+		if h, _ := d.ctxHash(); h != base {
+			t.Fatalf("%s: restoring it does not restore the digest", label)
+		}
+	}
+	// walk visits every leaf of a struct, skipping the named fields (which
+	// the caller covers separately).
+	var walk func(prefix string, v reflect.Value, skip ...string)
+	walk = func(prefix string, v reflect.Value, skip ...string) {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if slices.Contains(skip, f.Name) {
+				continue
+			}
+			label := prefix + "." + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(label, v.Field(i))
+				continue
+			}
+			changes(label, v.Field(i))
+		}
+	}
+	changes("Designer.Z0", reflect.ValueOf(&d.Z0).Elem())
+	walk("Spec", reflect.ValueOf(&d.Spec).Elem())
+	// geom is the builder's substrate-derived cache, not an input.
+	walk("Builder", reflect.ValueOf(b).Elem(), "Dev", "geom")
+	walk("PHEMT", reflect.ValueOf(b.Dev).Elem(), "DC")
+
+	orig := b.Dev.DC
+	params := orig.Params()
+	for i, name := range orig.ParamNames() {
+		fresh := reflect.New(reflect.TypeOf(orig).Elem())
+		fresh.Elem().Set(reflect.ValueOf(orig).Elem())
+		m := fresh.Interface().(device.DCModel)
+		p := slices.Clone(params)
+		p[i] = p[i]*1.5 + 0.125
+		if err := m.SetParams(p); err != nil {
+			t.Fatalf("DC %s: %v", name, err)
+		}
+		b.Dev.DC = m
+		if h, _ := d.ctxHash(); h == base {
+			t.Errorf("DC parameter %s: perturbing it leaves the digest unchanged", name)
+		}
+	}
+	b.Dev.DC = renamedDC{orig.(*device.Angelov)}
+	if h, _ := d.ctxHash(); h == base {
+		t.Error("DC model kind: a different model with equal parameters leaves the digest unchanged")
+	}
+	b.Dev.DC = orig
+	if h, _ := d.ctxHash(); h != base {
+		t.Fatal("restoring the DC model does not restore the digest")
 	}
 }

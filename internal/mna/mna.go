@@ -31,10 +31,6 @@ type Circuit struct {
 	nodeNames []string
 	elems     []element
 
-	// plan is the lazily compiled symbolic stamp plan (see band.go): one
-	// scatter recipe per element, recompiled only when elements are added.
-	plan []compiledStamp
-
 	// Per-order solver scratch, sized lazily on first Solve.
 	y   *mathx.CMatrix
 	lu  mathx.CLU
@@ -71,13 +67,11 @@ func (c *Circuit) node(name string) int {
 // NumNodes returns the number of non-ground nodes seen so far.
 func (c *Circuit) NumNodes() int { return len(c.nodeNames) }
 
-// twoNode is a generic branch admittance between two nodes. static marks a
-// frequency-independent admittance whose value the stamp plan may freeze.
+// twoNode is a generic branch admittance between two nodes.
 type twoNode struct {
-	a, b   int
-	y      func(w float64) complex128
-	desc   string
-	static bool
+	a, b int
+	y    func(w float64) complex128
+	desc string
 }
 
 func (e twoNode) describe() string { return e.desc }
@@ -100,9 +94,8 @@ func (e twoNode) stamp(y *mathx.CMatrix, w float64) {
 func (c *Circuit) AddR(a, b string, r float64) {
 	na, nb := c.node(a), c.node(b)
 	c.elems = append(c.elems, twoNode{a: na, b: nb,
-		y:      func(float64) complex128 { return complex(1/r, 0) },
-		desc:   fmt.Sprintf("R %s-%s %g", a, b, r),
-		static: true})
+		y:    func(float64) complex128 { return complex(1/r, 0) },
+		desc: fmt.Sprintf("R %s-%s %g", a, b, r)})
 }
 
 // AddC places a capacitor of f farads between nodes a and b.
@@ -235,16 +228,15 @@ func (c *Circuit) ensureScratch() {
 	}
 }
 
-// assemble builds the nodal admittance matrix at frequency f (Hz) via the
-// compiled stamp plan, reusing the circuit's scratch matrix when the order
-// is unchanged.
+// assemble builds the nodal admittance matrix at frequency f (Hz) by
+// stamping every element in insertion order, reusing the circuit's scratch
+// matrix when the order is unchanged.
 func (c *Circuit) assemble(f float64) *mathx.CMatrix {
 	c.ensureScratch()
-	c.ensurePlan()
 	c.y.Zero()
 	w := 2 * math.Pi * f
-	for i := range c.plan {
-		c.plan[i].stamp(c.y, w)
+	for _, e := range c.elems {
+		e.stamp(c.y, w)
 	}
 	return c.y
 }
@@ -310,7 +302,44 @@ func (c *Circuit) ZParams(f float64, ports []string) (*mathx.CMatrix, error) {
 // reduction this stays well-posed for networks whose open-circuit parameters
 // do not exist — a series-only ladder with no DC path to ground, or both
 // ports on the same node — and it factorizes once per frequency instead of
-// once per port.
+// once per port. The ports are resolved once; each grid point then costs
+// one assembly, one LU factorization and two solves against the circuit's
+// reusable scratch.
 func (c *Circuit) SParams2(freqs []float64, portIn, portOut string, z0 float64) (*twoport.Network, error) {
-	return c.SParamsBand(freqs, portIn, portOut, z0)
+	in, ok := c.nodeIndex[portIn]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchNode, portIn)
+	}
+	out, ok := c.nodeIndex[portOut]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchNode, portOut)
+	}
+	ports := [2]int{in, out}
+	g0 := complex(1/z0, 0)
+	mats := make([]twoport.Mat2, len(freqs))
+	for k, f := range freqs {
+		y := c.assemble(f)
+		for _, p := range ports {
+			y.Add(p, p, g0)
+		}
+		if err := c.lu.Factorize(y); err != nil {
+			return nil, fmt.Errorf("mna: solve at %g Hz: %w", f, err)
+		}
+		for j := 0; j < 2; j++ {
+			for i := range c.rhs {
+				c.rhs[i] = 0
+			}
+			c.rhs[ports[j]] += g0 // Norton equivalent of 1 V behind z0
+			if err := c.lu.SolveInto(c.sol, c.rhs); err != nil {
+				return nil, fmt.Errorf("mna: solve at %g Hz: %w", f, err)
+			}
+			for i := 0; i < 2; i++ {
+				mats[k][i][j] = 2 * c.sol[ports[i]]
+				if i == j {
+					mats[k][i][j] -= 1
+				}
+			}
+		}
+	}
+	return twoport.NewNetwork(z0, freqs, mats)
 }

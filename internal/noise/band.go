@@ -79,20 +79,6 @@ func CascadeBand(dst, a, b []TwoPort) []TwoPort {
 	return dst
 }
 
-// SBand converts a slab of noisy two-ports to scattering matrices at the
-// common reference z0, writing into dst (same length). Each point is the
-// exact per-point S.
-func SBand(dst []twoport.Mat2, tps []TwoPort, z0 float64) error {
-	for i := range tps {
-		s, err := tps[i].S(z0)
-		if err != nil {
-			return err
-		}
-		dst[i] = s
-	}
-	return nil
-}
-
 // Finite reports whether every entry of the two-port's chain matrix is
 // finite, the precondition for the specialized elementary cascades.
 func (n TwoPort) Finite() bool {

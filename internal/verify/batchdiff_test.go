@@ -71,8 +71,8 @@ func TestBatchDeviceEquivalence(t *testing.T) {
 }
 
 // TestBatchAmplifierEquivalence builds amplifiers across the design box and
-// demands MetricsBand equal (==) MetricsAt field-for-field on the in-band
-// grid and the wide stability grid.
+// demands MetricsBand and the one-point MetricsAt view equal (==) the
+// element-level reference field-for-field on the sweep grid.
 func TestBatchAmplifierEquivalence(t *testing.T) {
 	b := core.NewBuilder(device.Golden())
 	lo, hi := core.DesignBounds()
@@ -82,7 +82,7 @@ func TestBatchAmplifierEquivalence(t *testing.T) {
 		amp, err := b.Build(core.DesignFromVector(x))
 		if err != nil {
 			// Some box corners are unbuildable; the differential claim is
-			// only about designs the per-point path accepts too.
+			// only about designs the reference accepts too.
 			continue
 		}
 		built++
@@ -94,6 +94,21 @@ func TestBatchAmplifierEquivalence(t *testing.T) {
 	}
 	if built == 0 {
 		t.Fatal("no box sample was buildable; the differential never ran")
+	}
+}
+
+// TestEvaluationEquivalence grades designs across the box with a memo-free
+// designer and demands every Evaluation equal (==) the element-level
+// reference, stability scan included.
+func TestEvaluationEquivalence(t *testing.T) {
+	d := &core.Designer{Builder: core.NewBuilder(device.Golden()), Spec: core.DefaultSpec(), Z0: 50}
+	lo, hi := core.DesignBounds()
+	var r Report
+	for k, x := range boxSamples(lo, hi, 6) {
+		r.Add(EvaluationEquivalence(fmt.Sprintf("box sample %d", k), d, core.DesignFromVector(x)))
+	}
+	if !r.OK() {
+		t.Error(r.String())
 	}
 }
 
@@ -207,9 +222,9 @@ func TestMemoBitIdentityThroughEvalPool(t *testing.T) {
 	}
 }
 
-// TestBatchTwoStageEquivalence demands the two-stage band grader equal (==)
-// the per-point MetricsAt loop over the two-stage spec's grids, with
-// identical error verdicts. The lots span the golden device and three
+// TestBatchTwoStageEquivalence demands the two-stage band grader and the
+// one-point MetricsAt view equal (==) the element-level reference over the
+// two-stage spec's grids, with identical error verdicts. The lots span the golden device and three
 // GoldenVariant lots on both substrates; the designs are random 12-D points
 // in the design box plus hostile ones (each coordinate of either stage set
 // to NaN, ±Inf, 0, negative or huge) that drive the non-finite fallbacks
