@@ -15,8 +15,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 
+# vet covers the perfbench module too: it is a separate module, so
+# `go build ./...` never compiles it, and a deleted symbol it still uses
+# would otherwise surface only at perfbench-selftest.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # staticcheck is optional tooling: run it when the binary is on PATH, skip
 # (loudly) when it is not, so the gate works in hermetic containers.

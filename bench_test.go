@@ -438,22 +438,6 @@ func BenchmarkE11TwoStage(b *testing.B) {
 	}
 }
 
-func BenchmarkCMAESRosenbrock(b *testing.B) {
-	lo := []float64{-2, -2}
-	hi := []float64{2, 2}
-	f := func(x []float64) float64 {
-		a := x[1] - x[0]*x[0]
-		c := 1 - x[0]
-		return 100*a*a + c*c
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := optim.CMAES(f, lo, hi, &optim.CMAESOptions{Generations: 200, Seed: int64(i + 1)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Parallel-evaluation variants (Workers = NumCPU) ---
 //
 // The Workers benchmarks drive the same pipelines with the evaluation
@@ -491,23 +475,6 @@ func BenchmarkE5DesignFlowWorkers(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(experiments.Config{Seed: 1, Quick: true, Workers: runtime.NumCPU()})
 		if _, err := s.E5DesignFlow(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCMAESRosenbrockWorkers(b *testing.B) {
-	lo := []float64{-2, -2}
-	hi := []float64{2, 2}
-	f := func(x []float64) float64 {
-		a := x[1] - x[0]*x[0]
-		c := 1 - x[0]
-		return 100*a*a + c*c
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opts := &optim.CMAESOptions{Generations: 200, Seed: int64(i + 1), Workers: runtime.NumCPU()}
-		if _, err := optim.CMAES(f, lo, hi, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,11 +44,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -93,8 +95,18 @@ func loadTenants(path string) (map[string]serve.TenantPolicy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tenants file: %w", err)
 	}
+	// Strict decoding: a misspelt policy field (say "slo_p99" for
+	// "slo_p99_ms") would otherwise silently drop that part of the policy.
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
 	var policies map[string]serve.TenantPolicy
-	if err := json.Unmarshal(data, &policies); err != nil {
+	if err := dec.Decode(&policies); err != nil {
+		return nil, fmt.Errorf("tenants file %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the policy map")
+		}
 		return nil, fmt.Errorf("tenants file %s: %w", path, err)
 	}
 	return policies, nil

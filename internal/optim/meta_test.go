@@ -61,39 +61,6 @@ func TestDEBadInput(t *testing.T) {
 	}
 }
 
-func TestParticleSwarmSphere(t *testing.T) {
-	lo := []float64{-5, -5, -5}
-	hi := []float64{5, 5, 5}
-	res, err := ParticleSwarm(sphere, lo, hi, &PSOOptions{Iterations: 200, Seed: 4})
-	if err != nil {
-		t.Fatalf("PSO: %v", err)
-	}
-	if res.F > 1e-6 {
-		t.Errorf("PSO on sphere: F = %g, want ~0", res.F)
-	}
-	if _, err := ParticleSwarm(sphere, nil, nil, nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-}
-
-func TestSimulatedAnnealingMultimodal(t *testing.T) {
-	// 1-D multimodal with global optimum at x ~ 0.
-	f := func(x []float64) float64 {
-		return x[0]*x[0] + 3*math.Sin(5*x[0])*math.Sin(5*x[0])
-	}
-	res, err := SimulatedAnnealing(f, []float64{-4}, []float64{4},
-		&SAOptions{Iterations: 50000, Seed: 9})
-	if err != nil {
-		t.Fatalf("SA: %v", err)
-	}
-	if res.F > 0.05 {
-		t.Errorf("SA stuck at F = %g (x = %v)", res.F, res.X)
-	}
-	if _, err := SimulatedAnnealing(f, nil, nil, nil); err == nil {
-		t.Error("empty bounds accepted")
-	}
-}
-
 func TestMetaheuristicsDeterministic(t *testing.T) {
 	lo := []float64{-3, -3}
 	hi := []float64{3, 3}
@@ -111,41 +78,6 @@ func TestMetaheuristicsDeterministic(t *testing.T) {
 	for i := range r1.X {
 		if r1.X[i] != r2.X[i] {
 			t.Errorf("same seed, different x[%d]", i)
-		}
-	}
-}
-
-// TestOptimizerShootout cross-checks every global optimizer on the same
-// multimodal problem with a fixed budget: all must land within a modest
-// factor of the best, which guards against silent regressions in any one of
-// them.
-func TestOptimizerShootout(t *testing.T) {
-	lo := []float64{-5.12, -5.12}
-	hi := []float64{5.12, 5.12}
-	results := map[string]float64{}
-	if r, err := DifferentialEvolution(rastrigin, lo, hi, &DEOptions{Generations: 150, Seed: 9}); err == nil {
-		results["DE"] = r.F
-	} else {
-		t.Fatal(err)
-	}
-	if r, err := ParticleSwarm(rastrigin, lo, hi, &PSOOptions{Iterations: 150, Seed: 9}); err == nil {
-		results["PSO"] = r.F
-	} else {
-		t.Fatal(err)
-	}
-	if r, err := SimulatedAnnealing(rastrigin, lo, hi, &SAOptions{Iterations: 40000, Seed: 9}); err == nil {
-		results["SA"] = r.F
-	} else {
-		t.Fatal(err)
-	}
-	if r, err := CMAES(rastrigin, lo, hi, &CMAESOptions{Generations: 200, Seed: 9, Lambda: 16}); err == nil {
-		results["CMA-ES"] = r.F
-	} else {
-		t.Fatal(err)
-	}
-	for name, f := range results {
-		if f > 2.5 {
-			t.Errorf("%s stuck at F = %g on 2-D Rastrigin", name, f)
 		}
 	}
 }

@@ -131,52 +131,6 @@ func TestDEBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestPSOBitIdenticalAcrossWorkers(t *testing.T) {
-	lo, hi := []float64{-2, -2}, []float64{2, 2}
-	run := func(workers int) (Result, int64) {
-		tally := &doneEvals{}
-		res, err := ParticleSwarm(rosenbrock, lo, hi, &PSOOptions{
-			Pop: 24, Iterations: 60, Seed: 7, Workers: workers,
-			Observer: obs.Func(tally.Observe),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, tally.total
-	}
-	serial, serialEvals := run(1)
-	for _, w := range workerCounts() {
-		par, parEvals := run(w)
-		samePoolResult(t, "PSO", serial, par, w)
-		if parEvals != serialEvals {
-			t.Fatalf("PSO: Workers=%d journaled evals %d != serial %d", w, parEvals, serialEvals)
-		}
-	}
-}
-
-func TestCMAESBitIdenticalAcrossWorkers(t *testing.T) {
-	lo, hi := []float64{-2, -2}, []float64{2, 2}
-	run := func(workers int) (Result, int64) {
-		tally := &doneEvals{}
-		res, err := CMAES(rosenbrock, lo, hi, &CMAESOptions{
-			Generations: 80, Seed: 7, Workers: workers,
-			Observer: obs.Func(tally.Observe),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, tally.total
-	}
-	serial, serialEvals := run(1)
-	for _, w := range workerCounts() {
-		par, parEvals := run(w)
-		samePoolResult(t, "CMA-ES", serial, par, w)
-		if parEvals != serialEvals {
-			t.Fatalf("CMA-ES: Workers=%d journaled evals %d != serial %d", w, parEvals, serialEvals)
-		}
-	}
-}
-
 func TestNSGA2BitIdenticalAcrossWorkers(t *testing.T) {
 	obj := func(x []float64) []float64 {
 		d := x[0] - 2
@@ -218,6 +172,10 @@ func TestNSGA2BitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGoalAttainBitIdenticalAcrossWorkers covers the goal-attainment
+// methods and the weighted-sum scalarization: same evaluation count and the
+// same X bits for every worker count, and the same Gamma bits except for the
+// weighted sum, whose Gamma is the NaN sentinel.
 func TestGoalAttainBitIdenticalAcrossWorkers(t *testing.T) {
 	obj := func(x []float64) []float64 {
 		d := x[0] - 2
@@ -225,90 +183,48 @@ func TestGoalAttainBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	goals := []Goal{{Target: 0, Weight: 1}, {Target: 0, Weight: 1}}
 	lo, hi := []float64{-4, -4}, []float64{4, 4}
-	run := func(workers int) AttainResult {
-		res, err := GoalAttainImproved(obj, goals, lo, hi, &AttainOptions{
-			Seed: 7, GlobalEvals: 1200, PolishEvals: 600, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	solvers := []struct {
+		name     string
+		hasGamma bool
+		run      func(opts *AttainOptions) (AttainResult, error)
+	}{
+		{"improved", true, func(opts *AttainOptions) (AttainResult, error) {
+			return GoalAttainImproved(obj, goals, lo, hi, opts)
+		}},
+		{"standard", true, func(opts *AttainOptions) (AttainResult, error) {
+			return GoalAttainStandard(obj, goals, lo, hi, opts)
+		}},
+		{"wsum", false, func(opts *AttainOptions) (AttainResult, error) {
+			return WeightedSum(obj, []float64{0.3, 0.7}, lo, hi, opts)
+		}},
 	}
-	serial := run(1)
-	for _, w := range workerCounts() {
-		par := run(w)
-		if par.Evals != serial.Evals {
-			t.Fatalf("attain: Workers=%d evals %d != serial %d", w, par.Evals, serial.Evals)
+	for _, s := range solvers {
+		run := func(workers int) AttainResult {
+			res, err := s.run(&AttainOptions{
+				Seed: 7, GlobalEvals: 1200, PolishEvals: 600, Workers: workers,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			return res
 		}
-		if math.Float64bits(par.Gamma) != math.Float64bits(serial.Gamma) {
-			t.Fatalf("attain: Workers=%d gamma %v != serial %v", w, par.Gamma, serial.Gamma)
-		}
-		for i := range serial.X {
-			if math.Float64bits(par.X[i]) != math.Float64bits(serial.X[i]) {
-				t.Fatalf("attain: Workers=%d X[%d] %v != serial %v", w, i, par.X[i], serial.X[i])
+		serial := run(1)
+		for _, w := range workerCounts() {
+			par := run(w)
+			if par.Evals != serial.Evals {
+				t.Fatalf("%s: Workers=%d evals %d != serial %d", s.name, w, par.Evals, serial.Evals)
+			}
+			if s.hasGamma && math.Float64bits(par.Gamma) != math.Float64bits(serial.Gamma) {
+				t.Fatalf("%s: Workers=%d gamma %v != serial %v", s.name, w, par.Gamma, serial.Gamma)
+			}
+			if len(par.X) != len(serial.X) {
+				t.Fatalf("%s: Workers=%d dim %d != serial %d", s.name, w, len(par.X), len(serial.X))
+			}
+			for i := range serial.X {
+				if math.Float64bits(par.X[i]) != math.Float64bits(serial.X[i]) {
+					t.Fatalf("%s: Workers=%d X[%d] %v != serial %v", s.name, w, i, par.X[i], serial.X[i])
+				}
 			}
 		}
-	}
-}
-
-// TestCheckpointSnapshotsStayDefensive pins the contract that the buffer
-// reuse in the hot loops must never extend to checkpoint snapshots: the
-// state handed to a Checkpoint callback is a deep copy the continuing run
-// cannot mutate.
-func TestCheckpointSnapshotsStayDefensive(t *testing.T) {
-	lo, hi := []float64{-2, -2}, []float64{2, 2}
-	var first *DEState
-	var firstXs [][]float64
-	var firstFs []float64
-	_, err := DifferentialEvolution(rosenbrock, lo, hi, &DEOptions{
-		Pop: 24, Generations: 40, Seed: 7,
-		Checkpoint: func(st DEState) {
-			if first != nil {
-				return
-			}
-			first = &st
-			firstXs = copyMat(st.Xs)
-			firstFs = append([]float64(nil), st.Fs...)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first == nil {
-		t.Fatal("checkpoint callback never ran")
-	}
-	for i := range firstXs {
-		for j := range firstXs[i] {
-			if math.Float64bits(first.Xs[i][j]) != math.Float64bits(firstXs[i][j]) {
-				t.Fatalf("snapshot Xs[%d][%d] mutated by the continuing run", i, j)
-			}
-		}
-	}
-	for i := range firstFs {
-		if math.Float64bits(first.Fs[i]) != math.Float64bits(firstFs[i]) {
-			t.Fatalf("snapshot Fs[%d] mutated by the continuing run", i)
-		}
-	}
-}
-
-// TestCopyMatIntoReusesRows pins the allocation-diet helper: matching shapes
-// reuse the destination rows, mismatched shapes fall back to fresh copies.
-func TestCopyMatIntoReusesRows(t *testing.T) {
-	src := [][]float64{{1, 2}, {3, 4}}
-	dst := [][]float64{{0, 0}, {0, 0}}
-	row0 := &dst[0][0]
-	out := copyMatInto(dst, src)
-	if &out[0][0] != row0 {
-		t.Fatal("copyMatInto allocated despite matching shapes")
-	}
-	if out[0][0] != 1 || out[1][1] != 4 {
-		t.Fatalf("copyMatInto wrong values: %v", out)
-	}
-	src[0][0] = 99
-	if out[0][0] == 99 {
-		t.Fatal("copyMatInto aliased the source")
-	}
-	if fresh := copyMatInto(nil, src); &fresh[0] == &src[0] || fresh[0][0] != 99 {
-		t.Fatalf("copyMatInto(nil, src) must deep-copy, got %v", fresh)
 	}
 }

@@ -1,6 +1,7 @@
 package chaostest_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -162,16 +163,6 @@ func TestParallelSolversSurviveChaos(t *testing.T) {
 				Pop: 20, Generations: 30, Seed: 1, Workers: workers,
 			})
 		}},
-		{"pso", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.ParticleSwarm(obj, lo, hi, &optim.PSOOptions{
-				Pop: 20, Iterations: 30, Seed: 1, Workers: workers,
-			})
-		}},
-		{"cmaes", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.CMAES(obj, lo, hi, &optim.CMAESOptions{
-				Generations: 60, Seed: 1, Workers: workers,
-			})
-		}},
 	}
 	for _, s := range solvers {
 		t.Run(s.name, func(t *testing.T) {
@@ -253,20 +244,8 @@ func TestAllSolversSurviveChaos(t *testing.T) {
 		{"de", func(obj func([]float64) float64) (optim.Result, error) {
 			return optim.DifferentialEvolution(obj, lo, hi, &optim.DEOptions{Pop: 20, Generations: 30, Seed: 1})
 		}},
-		{"pso", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.ParticleSwarm(obj, lo, hi, &optim.PSOOptions{Pop: 20, Iterations: 30, Seed: 1})
-		}},
-		{"sa", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.SimulatedAnnealing(obj, lo, hi, &optim.SAOptions{Iterations: 600, Seed: 1})
-		}},
-		{"cmaes", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.CMAES(obj, lo, hi, &optim.CMAESOptions{Generations: 60, Seed: 1})
-		}},
 		{"nm", func(obj func([]float64) float64) (optim.Result, error) {
 			return optim.NelderMead(obj, x0, &optim.NMOptions{MaxEvals: 600})
-		}},
-		{"hj", func(obj func([]float64) float64) (optim.Result, error) {
-			return optim.HookeJeeves(obj, x0, &optim.HJOptions{MaxEvals: 600})
 		}},
 	}
 	for _, s := range solvers {
@@ -284,5 +263,115 @@ func TestAllSolversSurviveChaos(t *testing.T) {
 				t.Error("injector never fired: chaos sweep vacuous")
 			}
 		})
+	}
+}
+
+// biObjective is a convex bi-objective problem: distance² to the origin and
+// to the point (2, 0, …, 0).
+func biObjective(x []float64) []float64 {
+	var f1, f2 float64
+	for i, v := range x {
+		f1 += v * v
+		d := v
+		if i == 0 {
+			d -= 2
+		}
+		f2 += d * d
+	}
+	return []float64{f1, f2}
+}
+
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestVectorSolversSurviveChaos sweeps every multi-objective solver, serial
+// and with the evaluation fan-out on, over a panicking, NaN-spewing vector
+// objective behind the vector quarantine wrapper: no panic may escape, the
+// returned design and objective values must be finite, and the injector
+// must have fired.
+func TestVectorSolversSurviveChaos(t *testing.T) {
+	lo, hi := box(3)
+	goals := []optim.Goal{{Name: "f1", Target: 1, Weight: 1}, {Name: "f2", Target: 1, Weight: 1}}
+	attain := func(workers int) *optim.AttainOptions {
+		return &optim.AttainOptions{Seed: 1, GlobalEvals: 600, PolishEvals: 200, Workers: workers}
+	}
+	solvers := []struct {
+		name string
+		run  func(obj optim.VectorObjective, workers int) (xs, fs [][]float64, err error)
+	}{
+		{"nsga2", func(obj optim.VectorObjective, workers int) ([][]float64, [][]float64, error) {
+			r, err := optim.NSGA2(obj, lo, hi, &optim.NSGA2Options{Pop: 20, Generations: 15, Seed: 1, Workers: workers})
+			return r.X, r.F, err
+		}},
+		{"standard", func(obj optim.VectorObjective, workers int) ([][]float64, [][]float64, error) {
+			r, err := optim.GoalAttainStandard(obj, goals, lo, hi, attain(workers))
+			return [][]float64{r.X}, [][]float64{r.F}, err
+		}},
+		{"improved", func(obj optim.VectorObjective, workers int) ([][]float64, [][]float64, error) {
+			r, err := optim.GoalAttainImproved(obj, goals, lo, hi, attain(workers))
+			return [][]float64{r.X}, [][]float64{r.F}, err
+		}},
+		{"wsum", func(obj optim.VectorObjective, workers int) ([][]float64, [][]float64, error) {
+			r, err := optim.WeightedSum(obj, []float64{0.5, 0.5}, lo, hi, attain(workers))
+			return [][]float64{r.X}, [][]float64{r.F}, err
+		}},
+	}
+	for _, s := range solvers {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", s.name, workers), func(t *testing.T) {
+				in := &chaostest.Injector{PanicEvery: 11, NaNEvery: 7}
+				safe := resilience.NewSafeVector(in.WrapVector(biObjective, 2), 2, &resilience.SafeOptions{Penalty: 1e6})
+				xs, fs, err := s.run(safe.Objective(), workers)
+				if err != nil {
+					t.Fatalf("solver failed under chaos: %v", err)
+				}
+				if len(xs) == 0 || len(xs) != len(fs) {
+					t.Fatalf("no usable result under chaos: %d designs, %d objective vectors", len(xs), len(fs))
+				}
+				for i := range xs {
+					if len(xs[i]) != len(lo) || len(fs[i]) != 2 || !finite(xs[i]...) || !finite(fs[i]...) {
+						t.Fatalf("result %d unusable under chaos: x=%v f=%v", i, xs[i], fs[i])
+					}
+				}
+				if safe.Panics() == 0 || safe.NonFinite() == 0 {
+					t.Errorf("injector did not fire both faults (panics %d, non-finite %d): chaos sweep vacuous",
+						safe.Panics(), safe.NonFinite())
+				}
+			})
+		}
+	}
+}
+
+// TestLevenbergMarquardtSurvivesChaos runs the least-squares fitter over a
+// panicking, NaN-spewing residual behind the vector quarantine wrapper: the
+// numerical Jacobian sees the penalty vectors, yet no panic may escape and
+// the fit must return finite parameters and cost.
+func TestLevenbergMarquardtSurvivesChaos(t *testing.T) {
+	target := []float64{1, -2, 0.5}
+	residual := func(x []float64) []float64 {
+		r := make([]float64, len(x))
+		for i := range x {
+			r[i] = x[i] - target[i]
+		}
+		return r
+	}
+	in := &chaostest.Injector{PanicEvery: 11, NaNEvery: 7}
+	safe := resilience.NewSafeVector(in.WrapVector(residual, 3), 3, &resilience.SafeOptions{Penalty: 1e6})
+	res, err := optim.LevenbergMarquardt(safe.Objective(), []float64{3, 3, 3}, &optim.LMOptions{MaxIter: 50})
+	if err != nil {
+		t.Fatalf("LM failed under chaos: %v", err)
+	}
+	if len(res.X) != len(target) || !finite(res.X...) || !finite(res.Cost) {
+		t.Fatalf("unusable LM result under chaos: %+v", res)
+	}
+	if safe.Panics() == 0 || safe.NonFinite() == 0 {
+		t.Errorf("injector did not fire both faults (panics %d, non-finite %d): chaos sweep vacuous",
+			safe.Panics(), safe.NonFinite())
 	}
 }
