@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/units/
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/jsonl/
 	$(GO) test -fuzz=FuzzJobSpec -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/campaign/
 
 # trace-smoke is the end-to-end check of the causal tracing plane: a quick
 # parallel lnaopt run writes a journal, obsreport reconstructs the span tree

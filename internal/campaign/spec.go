@@ -17,7 +17,9 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -125,8 +127,7 @@ var (
 	knownAlgorithms = []string{"attain", "nsga2"}
 )
 
-// Load reads and validates a JSON campaign spec file. Unknown fields are
-// rejected, and defaults are applied (see Normalize).
+// Load reads and validates a JSON campaign spec file (see Parse).
 func Load(path string) (*Spec, error) {
 	if ext := strings.ToLower(filepath.Ext(path)); ext != ".json" {
 		return nil, fmt.Errorf("campaign: %s: unsupported spec extension %q (want .json)", path, ext)
@@ -135,14 +136,31 @@ func Load(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
+	spec, err := Parse(data)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %s: %w", path, err)
+	}
+	return spec, nil
+}
+
+// Parse decodes and validates one JSON campaign spec. Unknown fields and
+// any data after the spec are rejected, and defaults are applied (see
+// Normalize).
+func Parse(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	spec := &Spec{}
 	if err := dec.Decode(spec); err != nil {
-		return nil, fmt.Errorf("campaign: %s: %w", path, err)
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the spec")
+		}
+		return nil, err
 	}
 	if err := spec.Normalize(); err != nil {
-		return nil, fmt.Errorf("campaign: %s: %w", path, err)
+		return nil, err
 	}
 	return spec, nil
 }

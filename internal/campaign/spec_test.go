@@ -75,6 +75,26 @@ func TestLoadRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsTrailingData pins that nothing may follow the spec: a
+// second JSON value or a stray closing bracket after a valid spec is an
+// error, while trailing whitespace is not.
+func TestLoadRejectsTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"second value", " {}", false},
+		{"closing bracket", "\n]", false},
+		{"second spec", jsonSpec, false},
+		{"whitespace", " \n\t\n", true},
+	} {
+		_, err := Load(writeSpecFile(t, "c.json", jsonSpec+tc.tail))
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Load error %v, want accepted=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestLoadYAMLSpec pins that a YAML spec is refused with an error that
 // names the accepted format, whatever the file's body.
 func TestLoadYAMLSpec(t *testing.T) {

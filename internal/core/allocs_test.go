@@ -14,31 +14,35 @@ import (
 // exactly zero; run under `make verify` (the race pass skips them — the
 // detector instruments allocations).
 
-func allocFixture(t *testing.T) (*Amplifier, []float64) {
+// allocFixture builds an amplifier, a grid and its builder's chain tables
+// over that grid.
+func allocFixture(t *testing.T) (*Amplifier, []float64, *chainTables) {
 	t.Helper()
 	b := NewBuilder(device.Golden())
 	amp, err := b.Build(Design{Vgs: 0.46, Vds: 3, LIn: 5.6e-9, LDegen: 0.5e-9, LOut: 2.2e-9, COut: 0.5e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return amp, mathx.Linspace(1.1e9, 1.7e9, 11)
+	freqs := mathx.Linspace(1.1e9, 1.7e9, 11)
+	return amp, freqs, b.tabulate(freqs)
 }
 
 // TestMetricsBandIntoZeroAllocSteadyState pins the warmed band evaluation —
-// compiled chains bound, slabs sized — to zero allocations per grid pass.
+// compiled chains bound, slabs sized, chain tables built — to zero
+// allocations per grid pass.
 func TestMetricsBandIntoZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	amp, freqs := allocFixture(t)
+	amp, freqs, tab := allocFixture(t)
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
 	dst := make([]PointMetrics, len(freqs))
-	if err := amp.MetricsBandInto(ws, dst, freqs, 50); err != nil {
+	if err := amp.metricsBandInto(ws, dst, freqs, 50, tab); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if err := amp.MetricsBandInto(ws, dst, freqs, 50); err != nil {
+		if err := amp.metricsBandInto(ws, dst, freqs, 50, tab); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -52,15 +56,15 @@ func TestMuBandIntoZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	amp, freqs := allocFixture(t)
+	amp, freqs, tab := allocFixture(t)
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
 	mus := make([]float64, len(freqs))
-	if err := amp.muBandInto(ws, mus, freqs, 50); err != nil {
+	if err := amp.muBandInto(ws, mus, freqs, 50, tab); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		if err := amp.muBandInto(ws, mus, freqs, 50); err != nil {
+		if err := amp.muBandInto(ws, mus, freqs, 50, tab); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -75,7 +79,7 @@ func TestBandWorkspaceRebindZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
 	}
-	amp, freqs := allocFixture(t)
+	amp, freqs, _ := allocFixture(t)
 	other, err := NewBuilder(device.Golden()).Build(Design{Vgs: 0.5, Vds: 2.5, LIn: 8.2e-9, LDegen: 0.3e-9, LOut: 3.3e-9, COut: 1e-12})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +98,7 @@ func TestBandWorkspaceRebindZeroAlloc(t *testing.T) {
 		if err := next().MetricsBandInto(ws, dst, freqs, 50); err != nil {
 			t.Fatal(err)
 		}
-		if err := next().muBandInto(ws, mus, freqs, 50); err != nil {
+		if err := next().muBandInto(ws, mus, freqs, 50, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,8 +112,8 @@ func TestBandWorkspaceRebindZeroAlloc(t *testing.T) {
 }
 
 // TestTwoStageGradeBandZeroAlloc pins the two-stage band grader on warmed
-// workspaces, alternating between two cascades so every pass rebinds (and
-// recompiles) both stages.
+// workspaces and chain tables, alternating between two cascades so every
+// pass rebinds (and recompiles) both stages.
 func TestTwoStageGradeBandZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instruments allocations")
@@ -127,12 +131,13 @@ func TestTwoStageGradeBandZeroAlloc(t *testing.T) {
 	}
 	spec := DefaultTwoStageSpec()
 	pts, stab := spec.points(), spec.stabPoints()
+	ptsTab, stabTab := b.tabulate(pts), b.tabulate(stab)
 	ws1, ws2 := new(BandWorkspace), new(BandWorkspace)
 	pass := 0
 	run := func() {
 		ts := cascades[pass%2]
 		pass++
-		if _, _, _, err := ts.GradeBand(ws1, ws2, pts, stab, 50); err != nil {
+		if _, _, _, err := ts.gradeBand(ws1, ws2, pts, stab, 50, ptsTab, stabTab); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,5 +170,32 @@ func TestEvaluateMemoHitZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("memo-hit Evaluate allocates %.1f times per call, want 0", n)
+	}
+}
+
+// evaluateAllocCeiling is the allocation count of a warmed, memo-free
+// Designer.Evaluate on the default spec: the amplifier build, its point
+// slab and the stability scan's. The chain tables are built once per
+// designer, so they must add nothing per call.
+const evaluateAllocCeiling = 27
+
+// TestEvaluateAllocsPinned pins a warmed, memo-free Designer.Evaluate at
+// evaluateAllocCeiling allocations per call.
+func TestEvaluateAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	d := NewDesigner(NewBuilder(device.Golden()))
+	d.Memo = nil
+	x := Design{Vgs: 0.46, Vds: 3, LIn: 5.6e-9, LDegen: 0.5e-9, LOut: 2.2e-9, COut: 0.5e-12}
+	if _, err := d.Evaluate(x); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := d.Evaluate(x); err != nil {
+			t.Fatal(err)
+		}
+	}); n > evaluateAllocCeiling {
+		t.Fatalf("warmed Evaluate allocates %.1f times per call, want at most %d", n, evaluateAllocCeiling)
 	}
 }

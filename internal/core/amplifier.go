@@ -200,9 +200,30 @@ func (b *Builder) Build(d Design) (*Amplifier, error) {
 	// The degeneration inductance joins the device's common source lead.
 	dev := *b.Dev
 	dev.Ext.Ls += d.LDegen
+	input, output := b.chains(w50, cj, d)
+	return &Amplifier{
+		Dev:    &dev,
+		Bias:   device.Bias{Vgs: d.Vgs, Vds: d.Vds},
+		Input:  input,
+		Output: output,
+		Design: d,
+	}, nil
+}
 
+// Build's chain layout marks the steps the design vector sets: the matching
+// inductors and the output capacitor. Every other step reads only builder
+// fields (chainKey) and the frequency, so its value over a grid is
+// tabulated once (chainTables) rather than recomputed for every candidate.
+var (
+	inputDesignSteps  = [...]bool{false, true, false}
+	outputDesignSteps = [...]bool{false, false, true, true, false}
+)
+
+// chains builds the input and output networks of design d, in the layout
+// inputDesignSteps and outputDesignSteps describe.
+func (b *Builder) chains(w50, cj float64, d Design) (input, output rfpassive.Chain) {
 	// Input: DC block, series matching inductor, gate bias tee.
-	input := rfpassive.Chain{
+	input = rfpassive.Chain{
 		rfpassive.DCBlock(100e-12),
 		b.inductor(d.LIn, rfpassive.Series),
 		b.biasTee(w50, cj, b.GateDampR, b.GateBiasR),
@@ -213,21 +234,85 @@ func (b *Builder) Build(d Design) (*Amplifier, error) {
 	// the drain below the band (where the device gain peaks) and is lifted
 	// out of the way in band by its inductor; being on the output it costs
 	// gain margin, not noise.
-	output := rfpassive.Chain{
+	output = rfpassive.Chain{
 		rfpassive.StabilizerRL(b.StabR, b.StabL),
 		b.biasTee(w50, cj, b.DrainDampR, b.DrainRailR),
 		b.inductor(d.LOut, rfpassive.Series),
 		b.capacitor(d.COut, rfpassive.Shunt),
 		rfpassive.DCBlock(100e-12),
 	}
+	return input, output
+}
 
-	return &Amplifier{
-		Dev:    &dev,
-		Bias:   device.Bias{Vgs: d.Vgs, Vds: d.Vds},
-		Input:  input,
-		Output: output,
-		Design: d,
-	}, nil
+// chainKey is the comparable snapshot of every builder field the
+// design-invariant chain steps read (the 50-ohm width and the junction
+// capacitance derive from Sub). Chain tables are checked against it, so a
+// builder edited between evaluations is retabulated, never read stale.
+type chainKey struct {
+	sub rfpassive.Substrate
+
+	gateBiasR, drainRailR, gateDampR, drainDampR, stabR, stabL float64
+}
+
+func (b *Builder) chainKey() chainKey {
+	return chainKey{
+		sub:        b.Sub,
+		gateBiasR:  b.GateBiasR,
+		drainRailR: b.DrainRailR,
+		gateDampR:  b.GateDampR,
+		drainDampR: b.DrainDampR,
+		stabR:      b.StabR,
+		stabL:      b.StabL,
+	}
+}
+
+// chainTables holds the values of Build's design-invariant chain steps over
+// one frequency grid: one slab per Input and Output step (nil for the
+// design steps), as rfpassive.CompiledChain.Tabulate computes them. The band
+// loops read these values where they would compute them, so every result
+// is unchanged (==). A nil *chainTables means compute every step.
+type chainTables struct {
+	in, out [][]complex128
+}
+
+// tabulate computes the chain tables of b's current fields over freqs, or
+// returns nil (compute every step) when the substrate has no 50-ohm
+// geometry, in which case Build fails anyway.
+func (b *Builder) tabulate(freqs []float64) *chainTables {
+	w50, cj, err := b.geometry()
+	if err != nil {
+		return nil
+	}
+	input, output := b.chains(w50, cj, Design{})
+	return &chainTables{
+		in:  tabulateChain(input, inputDesignSteps[:], freqs),
+		out: tabulateChain(output, outputDesignSteps[:], freqs),
+	}
+}
+
+func tabulateChain(ch rfpassive.Chain, designSteps []bool, freqs []float64) [][]complex128 {
+	cc := rfpassive.CompileChain(ch)
+	tab := make([][]complex128, len(ch))
+	for i, byDesign := range designSteps {
+		if !byDesign {
+			tab[i] = cc.Tabulate(i, freqs)
+		}
+	}
+	return tab
+}
+
+func (t *chainTables) input() [][]complex128 {
+	if t == nil {
+		return nil
+	}
+	return t.in
+}
+
+func (t *chainTables) output() [][]complex128 {
+	if t == nil {
+		return nil
+	}
+	return t.out
 }
 
 // NoisyAt returns the complete amplifier as a noisy two-port at f: a
@@ -238,7 +323,7 @@ func (a *Amplifier) NoisyAt(f float64) (noise.TwoPort, error) {
 	freqs := [1]float64{f}
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
-	if err := ws.noisyBandInto(a, freqs[:]); err != nil {
+	if err := ws.noisyBandInto(a, freqs[:], nil); err != nil {
 		return noise.TwoPort{}, err
 	}
 	return ws.noisyAt(0), nil

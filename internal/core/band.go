@@ -14,15 +14,17 @@ import (
 // The band engine evaluates an amplifier over a whole frequency grid in
 // structure-of-arrays slabs: the matching networks are compiled once
 // (rfpassive.CompiledChain), the device's bias-dependent small-signal model
-// is hoisted out of the grid loop (device.BandState), and the per-point
-// arithmetic that remains is exactly that of the element-level
+// is hoisted out of the grid loop (device.BandState), the design-invariant
+// chain steps can be read from per-grid tables (chainTables), and the
+// per-point arithmetic that remains is exactly that of the element-level
 // definitions, so every number is equal (==) to the composition
 // Input.Noisy(f)·Dev.NoisyAt(Bias, f)·Output.Noisy(f) (enforced by
-// internal/verify). It is
-// the only amplifier evaluation path: NoisyAt, SAt and MetricsAt are
-// one-point views of it, and Designer.Evaluate, Network, GroupDelay and the
-// two-stage search (TwoStage.GradeBand) run it over whole grids. A failure
-// names the grid frequency it occurred at (see sweepError).
+// internal/verify). It is the only amplifier evaluation path: NoisyAt, SAt
+// and MetricsAt are one-point views of it, and Designer.Evaluate, Network,
+// GroupDelay and the two-stage search (TwoStageGrader, TwoStage.GradeBand)
+// run it over whole grids; only Designer.Evaluate and TwoStageGrader read
+// chain tables. A failure names the grid frequency it occurred at (see
+// sweepError).
 
 // BandWorkspace holds the reusable slabs of one band evaluation. A zero
 // workspace is ready to use; reusing one across calls with the same grid
@@ -56,8 +58,9 @@ func (ws *BandWorkspace) bind(a *Amplifier) {
 
 // noisyBandInto binds the workspace to a and fills its noisy-two-port slabs
 // with the amplifier's three sections (input chain, device, output chain)
-// at every grid frequency.
-func (ws *BandWorkspace) noisyBandInto(a *Amplifier, freqs []float64) error {
+// at every grid frequency. tab, when non-nil, holds the chain tables of the
+// builder that built a over freqs.
+func (ws *BandWorkspace) noisyBandInto(a *Amplifier, freqs []float64, tab *chainTables) error {
 	ws.bind(a)
 	n := len(freqs)
 	if cap(ws.in) < n {
@@ -76,8 +79,8 @@ func (ws *BandWorkspace) noisyBandInto(a *Amplifier, freqs []float64) error {
 		}
 		ws.dev[i] = tp
 	}
-	ws.ccIn.NoisyBand(ws.in, freqs)
-	ws.ccOut.NoisyBand(ws.out, freqs)
+	ws.ccIn.NoisyBand(ws.in, freqs, tab.input()...)
+	ws.ccOut.NoisyBand(ws.out, freqs, tab.output()...)
 	return nil
 }
 
@@ -95,8 +98,9 @@ func (ws *BandWorkspace) noisyAt(i int) noise.TwoPort {
 
 // abcdBandInto binds the workspace to a and fills its chain-matrix slab
 // (three consecutive sections of one backing array: input chain, device,
-// output chain) at every grid frequency: the A-only stability path.
-func (ws *BandWorkspace) abcdBandInto(a *Amplifier, freqs []float64) error {
+// output chain) at every grid frequency: the A-only stability path. tab is
+// as for noisyBandInto.
+func (ws *BandWorkspace) abcdBandInto(a *Amplifier, freqs []float64, tab *chainTables) error {
 	ws.bind(a)
 	n := len(freqs)
 	if cap(ws.abcd) < 3*n {
@@ -111,8 +115,8 @@ func (ws *BandWorkspace) abcdBandInto(a *Amplifier, freqs []float64) error {
 		}
 		ws.abcd[n+i] = m
 	}
-	ws.ccIn.ABCDBand(ws.abcd[:n], freqs)
-	ws.ccOut.ABCDBand(ws.abcd[2*n:], freqs)
+	ws.ccIn.ABCDBand(ws.abcd[:n], freqs, tab.input()...)
+	ws.ccOut.ABCDBand(ws.abcd[2*n:], freqs, tab.output()...)
 	return nil
 }
 
@@ -126,7 +130,13 @@ func (ws *BandWorkspace) abcdAt(i int) twoport.Mat2 {
 // MetricsBandInto evaluates the amplifier at every frequency of the grid,
 // writing into dst (same length as freqs).
 func (a *Amplifier) MetricsBandInto(ws *BandWorkspace, dst []PointMetrics, freqs []float64, z0 float64) error {
-	if err := ws.noisyBandInto(a, freqs); err != nil {
+	return a.metricsBandInto(ws, dst, freqs, z0, nil)
+}
+
+// metricsBandInto is MetricsBandInto reading the chain tables tab (nil:
+// compute every step).
+func (a *Amplifier) metricsBandInto(ws *BandWorkspace, dst []PointMetrics, freqs []float64, z0 float64, tab *chainTables) error {
+	if err := ws.noisyBandInto(a, freqs, tab); err != nil {
 		return err
 	}
 	for i, f := range freqs {
@@ -154,7 +164,7 @@ func (a *Amplifier) MetricsBand(freqs []float64, z0 float64) ([]PointMetrics, er
 // sBandInto writes the amplifier S-parameters at every grid frequency into
 // dst, riding the same batch path as MetricsBandInto.
 func (a *Amplifier) sBandInto(ws *BandWorkspace, dst []twoport.Mat2, freqs []float64, z0 float64) error {
-	if err := ws.noisyBandInto(a, freqs); err != nil {
+	if err := ws.noisyBandInto(a, freqs, nil); err != nil {
 		return err
 	}
 	for i, f := range freqs {
@@ -172,9 +182,10 @@ func (a *Amplifier) sBandInto(ws *BandWorkspace, dst []twoport.Mat2, freqs []flo
 // matrices, so the noise-correlation congruences — most of the full path's
 // cost — are skipped. device.EmbedABCD and the compiled chains replay the
 // full path's A-side arithmetic exactly, so each mu equals (==) the
-// MetricsBandInto Mu at that frequency.
-func (a *Amplifier) muBandInto(ws *BandWorkspace, dst []float64, freqs []float64, z0 float64) error {
-	if err := ws.abcdBandInto(a, freqs); err != nil {
+// MetricsBandInto Mu at that frequency. tab holds the chain tables over
+// freqs (nil: compute every step).
+func (a *Amplifier) muBandInto(ws *BandWorkspace, dst []float64, freqs []float64, z0 float64, tab *chainTables) error {
+	if err := ws.abcdBandInto(a, freqs, tab); err != nil {
 		return err
 	}
 	for i, f := range freqs {
@@ -198,11 +209,18 @@ func (a *Amplifier) muBandInto(ws *BandWorkspace, dst []float64, freqs []float64
 // stability grid only needs mu, so it rides the A-only chain matrices. With
 // warmed workspaces the grade is allocation-free.
 func (t *TwoStage) GradeBand(ws1, ws2 *BandWorkspace, pts, stab []float64, z0 float64) (nfDB, gtDB, margin float64, err error) {
+	return t.gradeBand(ws1, ws2, pts, stab, z0, nil, nil)
+}
+
+// gradeBand is GradeBand reading the chain tables ptsTab over pts and
+// stabTab over stab (nil: compute every step). Both stages come from one
+// builder, so they share the tables.
+func (t *TwoStage) gradeBand(ws1, ws2 *BandWorkspace, pts, stab []float64, z0 float64, ptsTab, stabTab *chainTables) (nfDB, gtDB, margin float64, err error) {
 	nfDB, gtDB, margin = math.Inf(-1), math.Inf(1), math.Inf(1)
-	if err := ws1.noisyBandInto(t.First, pts); err != nil {
+	if err := ws1.noisyBandInto(t.First, pts, ptsTab); err != nil {
 		return 0, 0, 0, err
 	}
-	if err := ws2.noisyBandInto(t.Second, pts); err != nil {
+	if err := ws2.noisyBandInto(t.Second, pts, ptsTab); err != nil {
 		return 0, 0, 0, err
 	}
 	ys := complex(1/z0, 0)
@@ -216,10 +234,10 @@ func (t *TwoStage) GradeBand(ws1, ws2 *BandWorkspace, pts, stab []float64, z0 fl
 		gtDB = math.Min(gtDB, mathx.DB10(twoport.TransducerGain(s, 0, 0)))
 		margin = math.Min(margin, twoport.MuSource(s)-1)
 	}
-	if err := ws1.abcdBandInto(t.First, stab); err != nil {
+	if err := ws1.abcdBandInto(t.First, stab, stabTab); err != nil {
 		return 0, 0, 0, err
 	}
-	if err := ws2.abcdBandInto(t.Second, stab); err != nil {
+	if err := ws2.abcdBandInto(t.Second, stab, stabTab); err != nil {
 		return 0, 0, 0, err
 	}
 	for i := range stab {

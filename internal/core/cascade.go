@@ -89,32 +89,70 @@ type TwoStageResult struct {
 	Evals int
 }
 
+// TwoStageGrader is OptimizeTwoStage's objective: it builds the cascade of
+// two stage designs and grades it on the band engine over fixed in-band and
+// stability grids. The builder's design-invariant chain steps are tabulated
+// over both grids once, when the grader is made, and every Grade reads
+// them; a builder edited since then is graded without the tables. Grades
+// equal (==) BuildTwoStage followed by GradeBand. Safe for concurrent use
+// with one workspace pair per goroutine.
+type TwoStageGrader struct {
+	b               *Builder
+	pts, stab       []float64
+	z0              float64
+	key             chainKey
+	ptsTab, stabTab *chainTables
+}
+
+// TwoStageGrader returns a grader of b's cascades over copies of the grids
+// pts and stab at system impedance z0.
+func (b *Builder) TwoStageGrader(pts, stab []float64, z0 float64) *TwoStageGrader {
+	pts = append([]float64(nil), pts...)
+	stab = append([]float64(nil), stab...)
+	return &TwoStageGrader{
+		b: b, pts: pts, stab: stab, z0: z0,
+		key: b.chainKey(), ptsTab: b.tabulate(pts), stabTab: b.tabulate(stab),
+	}
+}
+
+// Grade builds the cascade of d1 and d2 and returns GradeBand's worst noise
+// figure, minimum transducer gain and stability margin on the workspaces
+// ws1 and ws2, plus the cascade's DC power.
+func (g *TwoStageGrader) Grade(ws1, ws2 *BandWorkspace, d1, d2 Design) (nfDB, gtDB, margin, pdcW float64, err error) {
+	ts, err := g.b.BuildTwoStage(d1, d2)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	ptsTab, stabTab := g.ptsTab, g.stabTab
+	if g.b.chainKey() != g.key {
+		ptsTab, stabTab = nil, nil
+	}
+	nfDB, gtDB, margin, err = ts.gradeBand(ws1, ws2, g.pts, g.stab, g.z0, ptsTab, stabTab)
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	return nfDB, gtDB, margin, ts.PowerDissipation(), nil
+}
+
 // OptimizeTwoStage selects both stages jointly (12 free parameters) with
 // the improved goal-attainment method. Every candidate is graded on the band
-// engine (TwoStage.GradeBand). The eval tally is the designer's (reset at
-// entry, as in Optimize), so EvalCount reports it too and candidates graded
-// on concurrent workers count exactly.
+// engine by one TwoStageGrader, so the chain tables are built once per
+// call. The eval tally is the designer's (reset at entry, as in Optimize),
+// so EvalCount reports it too and candidates graded on concurrent workers
+// count exactly.
 func (d *Designer) OptimizeTwoStage(spec TwoStageSpec, opts *optim.AttainOptions) (TwoStageResult, error) {
 	d.evals.Store(0)
 	lo1, hi1 := DesignBounds()
 	lo := append(append([]float64(nil), lo1...), lo1...)
 	hi := append(append([]float64(nil), hi1...), hi1...)
-	points := spec.points()
-	stab := spec.stabPoints()
+	grader := d.Builder.TwoStageGrader(spec.points(), spec.stabPoints(), d.z0())
 
 	evaluate := func(x []float64) (nf, gt, margin, pdc float64, err error) {
-		ts, err := d.Builder.BuildTwoStage(DesignFromVector(x[:6]), DesignFromVector(x[6:]))
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
 		ws1, ws2 := getBandWorkspace(), getBandWorkspace()
-		nf, gt, margin, err = ts.GradeBand(ws1, ws2, points, stab, d.z0())
+		nf, gt, margin, pdc, err = grader.Grade(ws1, ws2, DesignFromVector(x[:6]), DesignFromVector(x[6:]))
 		putBandWorkspace(ws1)
 		putBandWorkspace(ws2)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-		return nf, gt, margin, ts.PowerDissipation(), nil
+		return nf, gt, margin, pdc, err
 	}
 
 	obj := func(x []float64) []float64 {

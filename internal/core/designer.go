@@ -122,6 +122,10 @@ type Designer struct {
 	// candidate evaluations doesn't rebuild them.
 	freqs atomic.Pointer[specFreqs]
 
+	// tables caches the builder's chain tables over those grids (see
+	// gridTables).
+	tables atomic.Pointer[gridTables]
+
 	// ctxKey caches the memo context digest against a comparable snapshot
 	// of the evaluation context (see evalmemo.go).
 	ctxKey atomic.Pointer[ctxDigest]
@@ -142,12 +146,44 @@ type specFreqs struct {
 // evaluation hot path — anything that hands grids to goroutines it does not
 // control, like the campaign engine — must use SweepGrids, which copies.
 func (d *Designer) sweepGrids() (pts, stab []float64) {
+	g := d.grids()
+	return g.pts, g.stab
+}
+
+// grids returns the memoized grid record of the current spec, whose
+// identity keys the chain tables.
+func (d *Designer) grids() *specFreqs {
 	if g := d.freqs.Load(); g != nil && g.spec == d.Spec {
-		return g.pts, g.stab
+		return g
 	}
 	g := &specFreqs{spec: d.Spec, pts: d.Spec.points(), stab: d.Spec.stabPoints()}
 	d.freqs.Store(g)
-	return g.pts, g.stab
+	return g
+}
+
+// gridTables holds the builder's chain tables over one pair of memoized
+// grids, checked against the grids' identity and a snapshot of the builder
+// fields the tables read, the way ctxHash guards its digest: a changed spec
+// or builder retabulates on its next evaluation. The tables are a hoist, not
+// a memo — one entry, built once per (builder, grid) and read by every
+// candidate.
+type gridTables struct {
+	grids     *specFreqs
+	key       chainKey
+	pts, stab *chainTables
+}
+
+// bandTables returns the chain tables of the current builder over the grids
+// g, tabulating them on first use or after the builder or the grids
+// changed.
+func (d *Designer) bandTables(g *specFreqs) (pts, stab *chainTables) {
+	key := d.Builder.chainKey()
+	if t := d.tables.Load(); t != nil && t.grids == g && t.key == key {
+		return t.pts, t.stab
+	}
+	t := &gridTables{grids: g, key: key, pts: d.Builder.tabulate(g.pts), stab: d.Builder.tabulate(g.stab)}
+	d.tables.Store(t)
+	return t.pts, t.stab
 }
 
 // SweepGrids returns defensive copies of the in-band and stability
@@ -205,7 +241,9 @@ func (d *Designer) Evaluate(x Design) (Evaluation, error) {
 	if err != nil {
 		return Evaluation{}, err
 	}
-	ev, err := d.evaluateAmp(amp, x)
+	g := d.grids()
+	ptsTab, stabTab := d.bandTables(g)
+	ev, err := d.evaluateAmp(amp, x, g, ptsTab, stabTab)
 	if err == nil && useMemo {
 		d.Memo.store(key, ev)
 	}
@@ -213,13 +251,15 @@ func (d *Designer) Evaluate(x Design) (Evaluation, error) {
 }
 
 // evaluateAmp aggregates the band objectives of an already-built amplifier,
-// grading the in-band and stability grids on one pooled band workspace.
-func (d *Designer) evaluateAmp(amp *Amplifier, x Design) (Evaluation, error) {
-	grid, stabGrid := d.sweepGrids()
+// grading the in-band and stability grids g on one pooled band workspace.
+// ptsTab and stabTab are the chain tables of the builder that built amp
+// over those grids (nil: compute every step).
+func (d *Designer) evaluateAmp(amp *Amplifier, x Design, g *specFreqs, ptsTab, stabTab *chainTables) (Evaluation, error) {
+	grid, stabGrid := g.pts, g.stab
 	ws := getBandWorkspace()
 	defer putBandWorkspace(ws)
 	pts := make([]PointMetrics, len(grid))
-	if err := amp.MetricsBandInto(ws, pts, grid, d.z0()); err != nil {
+	if err := amp.metricsBandInto(ws, pts, grid, d.z0(), ptsTab); err != nil {
 		return Evaluation{}, err
 	}
 	ev := Evaluation{
@@ -245,7 +285,7 @@ func (d *Designer) evaluateAmp(amp *Amplifier, x Design) (Evaluation, error) {
 		// chain matrices alone: the A-only band path skips all the
 		// noise-correlation work.
 		mus := make([]float64, len(stabGrid))
-		if err := amp.muBandInto(ws, mus, stabGrid, d.z0()); err != nil {
+		if err := amp.muBandInto(ws, mus, stabGrid, d.z0(), stabTab); err != nil {
 			return Evaluation{}, err
 		}
 		for _, mu := range mus {

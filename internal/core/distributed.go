@@ -114,7 +114,8 @@ func (d *Designer) EvaluateDistributed(x DistributedDesign) (Evaluation, error) 
 	if err != nil {
 		return Evaluation{}, err
 	}
-	return d.evaluateAmp(amp, Design{Vgs: x.Vgs, Vds: x.Vds, LDegen: x.LDegen})
+	// The distributed layout is not Build's, so no chain tables apply.
+	return d.evaluateAmp(amp, Design{Vgs: x.Vgs, Vds: x.Vds, LDegen: x.LDegen}, d.grids(), nil, nil)
 }
 
 // DistributedResult reports the distributed-topology optimization.

@@ -12,7 +12,9 @@ import (
 // shunt-Y factor per frequency, which the band loop applies with the
 // specialized noise.CascadeSeries/CascadeShunt ops instead of the generic
 // 2x2 cascade-plus-congruence. Anything else (nested Chains, foreign
-// Element implementations) keeps the generic per-point path.
+// Element implementations) keeps the generic per-point path. A step whose
+// factor is the same for every evaluation over a grid can be tabulated once
+// (Tabulate) and read back by the band loops.
 //
 // The compiled result is value-exact (==) against Chain.Noisy at every
 // frequency: the elementary ops reproduce the generic arithmetic for finite
@@ -125,9 +127,40 @@ func (st *chainStep) value(f float64) complex128 {
 	return z
 }
 
+// Tabulate returns the elementary factor of step i — the series impedance or
+// shunt admittance the band loops compute — at each frequency of freqs, or
+// nil for a generic step, which has none. A step whose element depends only
+// on frequency is tabulated once per grid and handed back to NoisyBand and
+// ABCDBand, which then read the values instead of recomputing them.
+func (cc *CompiledChain) Tabulate(i int, freqs []float64) []complex128 {
+	st := &cc.steps[i]
+	if st.kind == stepGeneric {
+		return nil
+	}
+	vals := make([]complex128, len(freqs))
+	for k, f := range freqs {
+		vals[k] = st.value(f)
+	}
+	return vals
+}
+
+// valueAt is step i's elementary factor at grid point k (frequency f): read
+// from tab when it holds a slab for the step, computed otherwise.
+func (st *chainStep) valueAt(i int, tab [][]complex128, k int, f float64) complex128 {
+	if i < len(tab) && tab[i] != nil {
+		return tab[i][k]
+	}
+	return st.value(f)
+}
+
 // NoisyAt returns the cascade as a noisy two-port at f, equal (==) to the
 // uncompiled Chain.Noisy(f).
 func (cc *CompiledChain) NoisyAt(f float64) noise.TwoPort {
+	return cc.noisyAt(f, nil, 0)
+}
+
+// noisyAt is the cascade's noisy two-port at f, grid point k of tab.
+func (cc *CompiledChain) noisyAt(f float64, tab [][]complex128, k int) noise.TwoPort {
 	n := noise.Noiseless(twoport.Identity2())
 	for i := range cc.steps {
 		st := &cc.steps[i]
@@ -135,7 +168,7 @@ func (cc *CompiledChain) NoisyAt(f float64) noise.TwoPort {
 			n = n.Cascade(st.elem.Noisy(f))
 			continue
 		}
-		v := st.value(f)
+		v := st.valueAt(i, tab, k, f)
 		if !finiteC(v) {
 			n = n.Cascade(st.elem.Noisy(f))
 			continue
@@ -153,10 +186,14 @@ func (cc *CompiledChain) NoisyAt(f float64) noise.TwoPort {
 }
 
 // NoisyBand writes the cascade's noisy two-port at each frequency into dst
-// (same length as freqs) and returns dst.
-func (cc *CompiledChain) NoisyBand(dst []noise.TwoPort, freqs []float64) []noise.TwoPort {
-	for i, f := range freqs {
-		dst[i] = cc.NoisyAt(f)
+// (same length as freqs) and returns dst. tab optionally supplies step
+// values: tab[i], when present and non-nil, is step i's Tabulate over freqs
+// and replaces the per-point computation; a missing or nil slab means
+// compute here. A tabulated value takes the same non-finite fallback as a
+// computed one, so every result equals (==) the untabulated one.
+func (cc *CompiledChain) NoisyBand(dst []noise.TwoPort, freqs []float64, tab ...[]complex128) []noise.TwoPort {
+	for k, f := range freqs {
+		dst[k] = cc.noisyAt(f, tab, k)
 	}
 	return dst
 }
@@ -165,6 +202,11 @@ func (cc *CompiledChain) NoisyBand(dst []noise.TwoPort, freqs []float64) []noise
 // uncompiled Chain.ABCD(f). Elementary steps use the specialized
 // twoport.MulSeriesZ/MulShuntY products.
 func (cc *CompiledChain) ABCDAt(f float64) twoport.Mat2 {
+	return cc.abcdAt(f, nil, 0)
+}
+
+// abcdAt is the cascade's chain matrix at f, grid point k of tab.
+func (cc *CompiledChain) abcdAt(f float64, tab [][]complex128, k int) twoport.Mat2 {
 	a := twoport.Identity2()
 	for i := range cc.steps {
 		st := &cc.steps[i]
@@ -172,7 +214,7 @@ func (cc *CompiledChain) ABCDAt(f float64) twoport.Mat2 {
 			a = a.Mul(st.elem.ABCD(f))
 			continue
 		}
-		v := st.value(f)
+		v := st.valueAt(i, tab, k, f)
 		if !finiteC(v) {
 			a = a.Mul(st.elem.ABCD(f))
 			continue
@@ -186,10 +228,11 @@ func (cc *CompiledChain) ABCDAt(f float64) twoport.Mat2 {
 	return a
 }
 
-// ABCDBand writes the cascade's chain matrix at each frequency into dst.
-func (cc *CompiledChain) ABCDBand(dst []twoport.Mat2, freqs []float64) []twoport.Mat2 {
-	for i, f := range freqs {
-		dst[i] = cc.ABCDAt(f)
+// ABCDBand writes the cascade's chain matrix at each frequency into dst,
+// reading step values from tab as NoisyBand does.
+func (cc *CompiledChain) ABCDBand(dst []twoport.Mat2, freqs []float64, tab ...[]complex128) []twoport.Mat2 {
+	for k, f := range freqs {
+		dst[k] = cc.abcdAt(f, tab, k)
 	}
 	return dst
 }

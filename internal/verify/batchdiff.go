@@ -42,16 +42,35 @@ func BatchChainEquivalence(context string, ch rfpassive.Chain, freqs []float64) 
 // CompiledChainEquivalence demands that cc, however it was compiled (fresh,
 // or recompiled in place over another chain), reproduce ch: its noisy
 // two-port and chain matrix must equal (==) Chain.Noisy/ABCD at every
-// frequency.
+// frequency, through the one-point views, the untabulated band loops and
+// the band loops reading every elementary step from its Tabulate slab.
 func CompiledChainEquivalence(context string, cc *rfpassive.CompiledChain, ch rfpassive.Chain, freqs []float64) []Violation {
+	tab := make([][]complex128, len(ch))
+	for i := range ch {
+		tab[i] = cc.Tabulate(i, freqs)
+	}
+	n := len(freqs)
+	noisy := cc.NoisyBand(make([]noise.TwoPort, n), freqs)
+	noisyTab := cc.NoisyBand(make([]noise.TwoPort, n), freqs, tab...)
+	abcd := cc.ABCDBand(make([]twoport.Mat2, n), freqs)
+	abcdTab := cc.ABCDBand(make([]twoport.Mat2, n), freqs, tab...)
 	var out []Violation
 	for i, f := range freqs {
-		ref := ch.Noisy(f)
-		got := cc.NoisyAt(f)
+		ref, refA := ch.Noisy(f), ch.ABCD(f)
 		ctx := pointContext(context, freqs, i)
-		out = append(out, exactMat2(ctx, "A", got.A, ref.A)...)
-		out = append(out, exactMat2(ctx, "CA", got.CA, ref.CA)...)
-		out = append(out, exactMat2(ctx, "ABCD", cc.ABCDAt(f), ch.ABCD(f))...)
+		for _, got := range []struct {
+			path string
+			n    noise.TwoPort
+			a    twoport.Mat2
+		}{
+			{"point", cc.NoisyAt(f), cc.ABCDAt(f)},
+			{"band", noisy[i], abcd[i]},
+			{"tabulated band", noisyTab[i], abcdTab[i]},
+		} {
+			out = append(out, exactMat2(ctx, got.path+" A", got.n.A, ref.A)...)
+			out = append(out, exactMat2(ctx, got.path+" CA", got.n.CA, ref.CA)...)
+			out = append(out, exactMat2(ctx, got.path+" ABCD", got.a, refA)...)
+		}
 	}
 	return out
 }
@@ -178,15 +197,17 @@ func BatchAmplifierEquivalence(context string, amp *core.Amplifier, freqs []floa
 }
 
 // BatchTwoStageEquivalence demands that the two-stage band grader
-// (TwoStage.GradeBand on ws1/ws2) and a loop of its one-point view
-// (TwoStage.MetricsAt) both reproduce the element-level reference: each
-// stage composed by referenceNoisy, the stages cascaded, reduced over the
-// in-band grid pts (worst NF, minimum GT, min mu - 1) and the stability
-// grid stab (min mu - 1). The three grades must be equal (==, NaN matching
-// NaN), and all three paths must agree on whether the cascade can be graded
-// at all. The workspaces may carry state from earlier calls, which is the
-// rebinding path the optimizer rides.
-func BatchTwoStageEquivalence(context string, ws1, ws2 *core.BandWorkspace, ts *core.TwoStage, pts, stab []float64, z0 float64) []Violation {
+// (TwoStage.GradeBand on ws1/ws2, every chain step computed), the
+// optimizer's objective (g.Grade, reading the builder's chain tables) and a
+// loop of the one-point view (TwoStage.MetricsAt) all reproduce the
+// element-level reference: each stage composed by referenceNoisy, the
+// stages cascaded, reduced over the in-band grid pts (worst NF, minimum GT,
+// min mu - 1) and the stability grid stab (min mu - 1). The three grades
+// must be equal (==, NaN matching NaN), and every path must agree on whether
+// the cascade can be graded at all. g must grade the builder that built ts
+// over pts and stab at z0. The workspaces may carry state from earlier
+// calls, which is the rebinding path the optimizer rides.
+func BatchTwoStageEquivalence(context string, ws1, ws2 *core.BandWorkspace, g *core.TwoStageGrader, ts *core.TwoStage, pts, stab []float64, z0 float64) []Violation {
 	reference := func(f, z0 float64) (core.PointMetrics, error) {
 		a, err := referenceNoisy(ts.First, f)
 		if err != nil {
@@ -205,6 +226,14 @@ func BatchTwoStageEquivalence(context string, ws1, ws2 *core.BandWorkspace, ts *
 		grade func() (nf, gt, margin float64, err error)
 	}{
 		{"band", func() (float64, float64, float64, error) { return ts.GradeBand(ws1, ws2, pts, stab, z0) }},
+		{"tabulated grader", func() (float64, float64, float64, error) {
+			nf, gt, margin, pdc, err := g.Grade(ws1, ws2, ts.First.Design, ts.Second.Design)
+			if want := ts.PowerDissipation(); err == nil && pdc != want && !(math.IsNaN(pdc) && math.IsNaN(want)) {
+				out = append(out, violation("batch-differential", context, math.Abs(pdc-ts.PowerDissipation()),
+					"DC power: tabulated grader %v != cascade %v", pdc, ts.PowerDissipation()))
+			}
+			return nf, gt, margin, err
+		}},
 		{"one-point view", func() (float64, float64, float64, error) { return gradePoints(ts.MetricsAt, pts, stab, z0) }},
 	} {
 		nf, gt, margin, err := path.grade()

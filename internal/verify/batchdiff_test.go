@@ -222,9 +222,10 @@ func TestMemoBitIdentityThroughEvalPool(t *testing.T) {
 	}
 }
 
-// TestBatchTwoStageEquivalence demands the two-stage band grader and the
-// one-point MetricsAt view equal (==) the element-level reference over the
-// two-stage spec's grids, with identical error verdicts. The lots span the golden device and three
+// TestBatchTwoStageEquivalence demands the two-stage band grader, the
+// tabulated TwoStageGrader and the one-point MetricsAt view equal (==) the
+// element-level reference over the two-stage spec's grids, with identical
+// error verdicts. The lots span the golden device and three
 // GoldenVariant lots on both substrates; the designs are random 12-D points
 // in the design box plus hostile ones (each coordinate of either stage set
 // to NaN, ±Inf, 0, negative or huge) that drive the non-finite fallbacks
@@ -266,6 +267,9 @@ func TestBatchTwoStageEquivalence(t *testing.T) {
 		for subName, sub := range subs {
 			b := core.NewBuilder(dev)
 			b.Sub = sub
+			// One grader (one tabulation) per grid size, as OptimizeTwoStage
+			// makes one per search.
+			graders := map[int]*core.TwoStageGrader{}
 			designs := append([]pair(nil), hostile...)
 			for i := 0; i < 40; i++ {
 				designs = append(designs, pair{random(), random()})
@@ -278,9 +282,14 @@ func TestBatchTwoStageEquivalence(t *testing.T) {
 				spec := core.DefaultTwoStageSpec()
 				spec.NPoints = []int{3, 11, 21}[i%3]
 				pts, stab := (&core.Designer{Spec: spec.Spec}).SweepGrids()
+				g := graders[spec.NPoints]
+				if g == nil {
+					g = b.TwoStageGrader(pts, stab, 50)
+					graders[spec.NPoints] = g
+				}
 				ctx := fmt.Sprintf("%s/%s design %d", dev.Name, subName, i)
 				var r Report
-				r.Add(BatchTwoStageEquivalence(ctx, &ws1, &ws2, ts, pts, stab, 50))
+				r.Add(BatchTwoStageEquivalence(ctx, &ws1, &ws2, g, ts, pts, stab, 50))
 				if !r.OK() {
 					t.Error(r.String())
 				}
